@@ -1151,6 +1151,23 @@ impl FTree {
         self.probe_plan_impl(graph, e, base_flow, true)
     }
 
+    /// Flow gain of the Case II candidate `e`, which attaches the outside
+    /// vertex `leaf` to the tree vertex `anchor`:
+    /// `W(leaf) · p(e) · reach(anchor)`. The one formula behind both the
+    /// analytic leaf probe and the greedy loop's leaf index
+    /// ([`CandidateSet`](crate::selection::CandidateSet)), so the two
+    /// cannot drift apart.
+    pub(crate) fn leaf_delta(
+        &self,
+        graph: &ProbabilisticGraph,
+        e: EdgeId,
+        anchor: VertexId,
+        leaf: VertexId,
+    ) -> f64 {
+        let p = graph.probability(e).value();
+        graph.weight(leaf).value() * p * self.reach_to_query(anchor)
+    }
+
     fn probe_plan_impl(
         &mut self,
         graph: &ProbabilisticGraph,
@@ -1160,9 +1177,7 @@ impl FTree {
     ) -> Result<ProbePlan, CoreError> {
         match self.classify_candidate(graph, e)? {
             ProbeClass::Leaf { anchor, leaf } => {
-                let p = graph.probability(e).value();
-                let delta = graph.weight(leaf).value() * p * self.reach_to_query(anchor);
-                let flow = base_flow + delta;
+                let flow = base_flow + self.leaf_delta(graph, e, anchor, leaf);
                 let case = match self.owner(anchor) {
                     Some(cid) if self.comp(cid).is_bi() => InsertCase::LeafBi,
                     _ => InsertCase::LeafMono,

@@ -7,9 +7,13 @@
 /// Counters accumulated during a selection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionMetrics {
-    /// Candidate probes evaluated (including memoized ones).
+    /// Probe evaluations: closed-form leaf gains computed for the greedy
+    /// loop's candidate index (each new leaf once, every leaf again after a
+    /// Case IIIa/IIIb/IV commit) plus engine probes (memoized ones
+    /// included).
     pub probes: u64,
-    /// Probes answered purely analytically (Case II deltas).
+    /// Probes answered purely analytically: the index's leaf gains plus
+    /// engine probes that drew no samples.
     pub analytic_probes: u64,
     /// Components (re-)estimated by Monte-Carlo sampling.
     pub components_sampled: u64,

@@ -1,9 +1,14 @@
 //! The greedy edge-selection algorithm (§6.1) with the M / CI / DS
 //! heuristics (§6.2–6.4).
 //!
-//! Each iteration probes every candidate edge (Eq. 5), selects the flow
-//! maximizer, and inserts it into the F-tree. The heuristics modify the
-//! probing loop only:
+//! Each iteration finds the flow maximizer among all candidate edges
+//! (Eq. 5) and inserts it into the F-tree. Leaf (Case II) candidates have
+//! a closed-form gain and sit in a gain-ordered index
+//! ([`CandidateSet`]) that is rescored only where a commit changed a
+//! reach: the new vertex's edges after a leaf commit, every leaf after a
+//! Case IIIa/IIIb/IV commit. The engines probe the structural candidates
+//! plus the one leaf the tie rule would pick, so selections are those of
+//! probing every candidate. The heuristics modify the probing loop only:
 //!
 //! * **M** — probes and insertions share a memoizing estimate provider;
 //! * **CI** — candidates whose components must be sampled race each other in
@@ -291,12 +296,18 @@ pub fn greedy_select_controlled(
         let probes_before = metrics.probes;
         let ci_pruned_before = metrics.ci_pruned;
         let memo_hits_before = metrics.memo_hits + provider.inner().metrics.memo_hits;
+        // Score the leaves that joined since the last iteration (all of them
+        // after a structural commit): each is one closed-form Δ.
+        let scored = candidates.score_leaves(graph, &tree);
+        metrics.probes += scored;
+        metrics.analytic_probes += scored;
         // Gather the probe pool, honouring DS suspensions (§6.4: suspended
         // candidates never enter the round; if everything is suspended the
         // full pool is probed rather than stalling).
-        let (pool, skipped) =
-            candidates.probe_pool(|e| config.delayed_sampling && delays.is_suspended(e));
-        metrics.ds_skipped += skipped;
+        let round = candidates.probe_round(base_flow, |e| {
+            config.delayed_sampling && delays.is_suspended(e)
+        });
+        metrics.ds_skipped += round.skipped;
 
         // The probe phase is clone-free by construction (journalled
         // apply/rollback); debug builds prove it with the thread-local
@@ -310,7 +321,7 @@ pub fn greedy_select_controlled(
             racer.probe_candidates(
                 graph,
                 &mut tree,
-                &pool,
+                &round.pool,
                 base_flow,
                 config,
                 &mut provider,
@@ -320,7 +331,7 @@ pub fn greedy_select_controlled(
             probe_with_ci_race(
                 graph,
                 &mut tree,
-                &pool,
+                &round.pool,
                 base_flow,
                 config,
                 &mut provider,
@@ -330,7 +341,7 @@ pub fn greedy_select_controlled(
             probe_all(
                 graph,
                 &mut tree,
-                &pool,
+                &round.pool,
                 base_flow,
                 config,
                 &mut provider,
@@ -397,11 +408,17 @@ pub fn greedy_select_controlled(
         }
         candidates.remove(best_edge);
         delays.lift(best_edge);
-        // A leaf attachment brings one new vertex whose incident edges
-        // become candidates.
-        let (a, b) = graph.endpoints(best_edge);
-        for v in [a, b] {
-            candidates.vertex_joined(graph, v, tree.selected_edges());
+        if matches!(best_case, InsertCase::LeafMono | InsertCase::LeafBi) {
+            // A leaf attachment writes no existing vertex's reach, so every
+            // cached leaf Δ stays exact; the one new vertex's edges change
+            // group or join as leaves.
+            let (a, b) = graph.endpoints(best_edge);
+            for v in [a, b] {
+                candidates.vertex_joined(graph, v, tree.selected_edges());
+            }
+        } else {
+            // Cases IIIa/IIIb/IV re-estimate components: reaches changed.
+            candidates.invalidate_leaf_scores();
         }
 
         base_flow = if incremental {
@@ -411,11 +428,14 @@ pub fn greedy_select_controlled(
         };
 
         // Post-commit revalidation (the clone-counter pattern of the probe
-        // phase, extended to the incremental state): the whole iteration
-        // must have run zero whole-forest traversals and — for memoized
-        // structural winners — zero re-insertions, and the cached base
-        // flow and versioned candidate pool must match a from-scratch
-        // recomputation bit for bit.
+        // phase, extended to the incremental state): the candidate groups
+        // and every cached leaf Δ must match a from-scratch recomputation
+        // bit for bit; under the incremental engine the whole iteration
+        // must also have run zero whole-forest traversals and — for
+        // memoized structural winners — zero re-insertions, and the cached
+        // base flow must match the whole-forest reference.
+        #[cfg(debug_assertions)]
+        candidates.debug_validate(graph, &tree);
         #[cfg(debug_assertions)]
         if incremental {
             assert_eq!(
@@ -437,7 +457,6 @@ pub fn greedy_select_controlled(
                 tree.expected_flow(graph, config.include_query).to_bits(),
                 "cached base flow diverged from the whole-forest reference"
             );
-            candidates.debug_validate(graph, &tree);
         }
 
         flow_trace.push(base_flow);
@@ -446,10 +465,10 @@ pub fn greedy_select_controlled(
             edge: best_edge,
             gain: base_flow - prev_flow,
             flow: base_flow,
-            pool: pool.len(),
+            pool: round.competing,
             probes: metrics.probes - probes_before,
             ci_pruned: metrics.ci_pruned - ci_pruned_before,
-            ds_skipped: skipped,
+            ds_skipped: round.skipped,
             memo_hits: metrics.memo_hits + provider.inner().metrics.memo_hits - memo_hits_before,
         });
 

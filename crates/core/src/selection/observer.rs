@@ -31,11 +31,15 @@ pub struct SelectionStep {
     /// Cumulative expected flow after this step, under the run's own
     /// estimates (the same quantity as `SelectionOutcome::flow_trace`).
     pub flow: f64,
-    /// Candidates actually probed this iteration (excludes §6.4-suspended
-    /// candidates).
+    /// Candidates competing this iteration: every leaf (Case II)
+    /// candidate plus the structural candidates not suspended by §6.4.
+    /// Only the best leaf reaches the probe engines; the others lose to it
+    /// by their cached closed-form gain.
     pub pool: usize,
-    /// Probe evaluations charged to this iteration (memoized and analytic
-    /// probes included; re-probes at several race budgets count each time).
+    /// Probe evaluations charged to this iteration: closed-form leaf gains
+    /// computed for the candidate index (new leaves, or every leaf after a
+    /// Case IIIa/IIIb/IV commit) plus engine probes (memoized and analytic
+    /// ones included; re-probes at several race budgets count each time).
     pub probes: u64,
     /// Candidates eliminated by confidence-interval pruning (§6.3) this
     /// iteration.

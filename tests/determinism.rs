@@ -201,6 +201,49 @@ fn solver_is_lane_width_invariant_at_any_thread_count() {
     }
 }
 
+/// The work ledger is part of the determinism contract: the whole
+/// `SelectionMetrics` (probes, analytic probes, memo hits, CI pruned, DS
+/// skipped, samples, commits by case) must be equal at every thread count
+/// and lane width. The run commits Case IIIb/IV edges, so the leaf index's
+/// rescore-everything path is counted too.
+#[test]
+fn selection_ledger_is_thread_and_lane_invariant() {
+    let g = WsnConfig::paper(150, 0.15).generate(23).graph;
+    let q = suggest_query(&g);
+    let run = |threads: usize, lane_words: usize| {
+        Session::new(&g)
+            .with_threads(threads)
+            .with_lane_words(lane_words)
+            .with_seed(97)
+            .query(q)
+            .unwrap()
+            .algorithm(Algorithm::FtMCiDs)
+            .budget(30)
+            .samples(200)
+            .run()
+            .unwrap()
+            .metrics
+    };
+    let base = run(1, 1);
+    assert!(
+        base.insert_case_iiib + base.insert_case_iv > 0,
+        "the run must commit structural edges: {base:?}"
+    );
+    assert!(
+        base.ci_pruned > 0 && base.ds_skipped > 0 && base.memo_hits > 0,
+        "every heuristic must fire: {base:?}"
+    );
+    for threads in [1usize, 8] {
+        for lane_words in [1usize, 8] {
+            assert_eq!(
+                run(threads, lane_words),
+                base,
+                "ledger differs at {threads} threads, lane width {lane_words}"
+            );
+        }
+    }
+}
+
 /// The persistent-pool serving contract (satellite of the worker-pool PR):
 /// the same `QuerySpec` must be bit-identical (a) on a fresh pool, (b)
 /// after 100 unrelated jobs have warmed every worker's scratch arenas with

@@ -2,8 +2,8 @@
 //! robustness of the pipeline under degenerate inputs.
 
 use flowmax::core::{
-    exact_max_flow, greedy_select, Algorithm, CoreError, EstimatorConfig, FTree, GreedyConfig,
-    SamplingProvider, Session,
+    exact_max_flow, greedy_select, greedy_select_controlled, Algorithm, CancelToken, CoreError,
+    EstimatorConfig, FTree, GreedyConfig, NoObserver, RunControl, SamplingProvider, Session,
 };
 use flowmax::graph::{
     exact_reachability, EdgeId, EdgeSubset, GraphBuilder, GraphError, Probability, VertexId, Weight,
@@ -158,6 +158,19 @@ fn zero_budget_is_a_no_op() {
     let g = b.build();
     let out = greedy_select(&g, VertexId(0), &GreedyConfig::ft(0, 1));
     assert!(out.selected.is_empty());
+    assert_eq!(out.metrics.probes, 0);
+    // A run stopped before its first iteration scores no candidate either.
+    let token = CancelToken::new();
+    token.cancel();
+    let control = RunControl::unlimited().with_cancel(token);
+    let out = greedy_select_controlled(
+        &g,
+        VertexId(0),
+        &GreedyConfig::ft(1, 1),
+        &control,
+        &mut NoObserver,
+    );
+    assert!(out.selected.is_empty() && out.stopped.is_some());
     assert_eq!(out.metrics.probes, 0);
 }
 
