@@ -10,10 +10,16 @@
 //! At least one pinned run commits a Case IIIb or IV edge, so the
 //! structural-commit path is covered too.
 //!
+//! The session's evaluated flow (`SolveRun::flow`, the shared evaluator's
+//! estimate of the final selection) is pinned too, for one `FT+M+CI+DS`
+//! query per graph.
+//!
 //! To print the table for new pins:
 //! `cargo test --release --test greedy_golden -- --ignored --nocapture`.
 
-use flowmax::core::{greedy_select_observed, GreedyConfig, SelectionOutcome, SelectionStep};
+use flowmax::core::{
+    greedy_select_observed, Algorithm, GreedyConfig, SelectionOutcome, SelectionStep, Session,
+};
 use flowmax::datasets::{suggest_query, ErdosConfig, PreferentialConfig, WsnConfig};
 use flowmax::graph::ProbabilisticGraph;
 
@@ -186,6 +192,42 @@ fn greedy_selections_match_the_pins() {
     }
 }
 
+/// `SolveRun::flow` of the session's `FT+M+CI+DS` query on `graph_name`.
+fn session_flow(graph_name: &str) -> f64 {
+    let g = graph(graph_name);
+    let q = suggest_query(&g);
+    Session::new(&g)
+        .with_seed(SEED)
+        .query(q)
+        .unwrap()
+        .algorithm(Algorithm::FtMCiDs)
+        .budget(BUDGET)
+        .samples(SAMPLES)
+        .run()
+        .unwrap()
+        .flow
+}
+
+/// `(graph, SolveRun::flow bits)`.
+const SESSION_FLOW_PINS: &[(&str, u64)] = &[
+    ("erdos", 0x40568ae783e5f51a),
+    ("preferential", 0x40642f43000ae974),
+    ("wsn", 0x40633868bd20b50b),
+];
+
+#[test]
+fn session_flows_match_the_pins() {
+    assert_eq!(SESSION_FLOW_PINS.len(), GRAPHS.len());
+    for &(graph_name, flow_bits) in SESSION_FLOW_PINS {
+        let flow = session_flow(graph_name);
+        assert_eq!(
+            flow.to_bits(),
+            flow_bits,
+            "{graph_name}: session flow {flow}"
+        );
+    }
+}
+
 #[test]
 fn pins_cover_a_structural_commit() {
     // The pinned wsn runs must include a Case IIIb or IV commit, so the
@@ -210,5 +252,11 @@ fn print_pins() {
                 got.steps
             );
         }
+    }
+    for graph_name in GRAPHS {
+        println!(
+            "    ({graph_name:?}, 0x{:016x}),",
+            session_flow(graph_name).to_bits()
+        );
     }
 }
