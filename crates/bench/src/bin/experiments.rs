@@ -4,9 +4,6 @@
 //! experiments list                 # show available experiment ids
 //! experiments all [--paper-scale]  # run everything
 //! experiments fig5a fig9b ...      # run specific figures
-//! experiments bench3               # candidate-race snapshot → BENCH_3.json
-//! experiments bench5               # probe-churn snapshot → BENCH_5.json
-//! experiments bench6               # incremental-engine snapshot → BENCH_6.json
 //! experiments bench7               # serve-throughput snapshot → BENCH_7.json
 //! experiments bench8               # wide-lane sampling snapshot → BENCH_8.json
 //!   --paper-scale   use the paper's full sizes (slow)
@@ -18,7 +15,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use flowmax_bench::{candidate_race, probe_churn, registry, serve_bench, wide_lanes, Scale};
+use flowmax_bench::{registry, serve_bench, wide_lanes, Scale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,79 +54,9 @@ fn main() {
         i += 1;
     }
 
-    // The candidate-race snapshot lives outside the figure registry: it
-    // emits the machine-readable BENCH_3.json perf-trajectory artifact.
-    if ids.iter().any(|s| s == "bench3") {
-        let started = Instant::now();
-        let bench = candidate_race::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_3.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# candidate_race completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench3");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The probe-churn snapshot: journal vs clone-based structural probing
-    // (BENCH_5.json, the PR-5 perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench5") {
-        let started = Instant::now();
-        let bench = probe_churn::run(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_5.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# probe_churn completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench5");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
-    // The incremental-engine snapshot: O(touched) probing and replay-based
-    // commits vs the journal and clone references (BENCH_6.json, the PR-6
-    // perf-trajectory artifact).
-    if ids.iter().any(|s| s == "bench6") {
-        let started = Instant::now();
-        let bench = probe_churn::run_bench6(&scale, reps);
-        print!("{}", bench.to_json());
-        let path = PathBuf::from("BENCH_6.json");
-        match bench.write_json(&path) {
-            Ok(()) => println!(
-                "# incremental_churn completed in {:.1?}; wrote {}",
-                started.elapsed(),
-                path.display()
-            ),
-            Err(err) => {
-                eprintln!("error: could not write {}: {err}", path.display());
-                std::process::exit(1);
-            }
-        }
-        ids.retain(|s| s != "bench6");
-        if ids.is_empty() {
-            return;
-        }
-    }
-
+    // The bench snapshots live outside the figure registry: each emits a
+    // machine-readable BENCH_*.json perf-trajectory artifact.
+    //
     // The serve-throughput snapshot: warm FlowServer (resident graph,
     // coalescing, persistent pool) vs cold per-query sessions
     // (BENCH_7.json, the PR-7 perf-trajectory artifact).

@@ -7,17 +7,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod candidate_race;
 pub mod experiments;
-pub mod probe_churn;
 pub mod report;
 pub mod runner;
 pub mod serve_bench;
 pub mod wide_lanes;
 
-pub use candidate_race::{RaceBench, RaceMeasurement};
 pub use experiments::{registry, Experiment};
-pub use probe_churn::{ChurnBench, ChurnMeasurement};
 pub use report::{Cell, Report, Row};
 pub use runner::{names, roster, run_workload, RunConfig, Scale};
 pub use serve_bench::{ServeBench, ServeMeasurement};

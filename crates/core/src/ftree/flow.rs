@@ -23,10 +23,7 @@
 //! * **Cases IIIb/IV** (structural): the probe applies the insertion to the
 //!   *shared* tree through the undo journal ([`FTree::apply`]), evaluates,
 //!   and rolls back bit-identically ([`FTree::rollback`]) — `O(touched
-//!   components)` per probe instead of the historical whole-tree clone.
-//!   The clone-based path survives only as the pinned reference
-//!   ([`FTree::probe_plan_cloning`]) that benchmarks and equivalence tests
-//!   compare against.
+//!   components)` per probe instead of a whole-tree clone.
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph};
@@ -371,18 +368,9 @@ enum SampledKind {
     /// Case IIIa: re-estimate one existing bi component; flow is evaluated
     /// on the *original* tree with the estimate overriding the stored one.
     InBi { cid: ComponentId },
-    /// Cases IIIb/IV, journal-based (the default): scoring applies the
-    /// candidate to the shared tree, evaluates, and rolls back — no clone.
+    /// Cases IIIb/IV: scoring applies the candidate to the shared tree,
+    /// evaluates, and rolls back — no clone.
     Structural { edge: EdgeId, case: InsertCase },
-    /// Cases IIIb/IV, the pinned clone-based reference: the probe's tree
-    /// clone with the candidate inserted and the estimate still pending.
-    /// Kept selectable so benchmarks and tests can compare engines (boxed:
-    /// the journal variants carry no tree).
-    StructuralCloned {
-        tree: Box<FTree>,
-        cid: ComponentId,
-        case: InsertCase,
-    },
 }
 
 impl SampledProbe {
@@ -402,7 +390,6 @@ impl SampledProbe {
         match &self.kind {
             SampledKind::InBi { .. } => InsertCase::CycleInBi,
             SampledKind::Structural { case, .. } => *case,
-            SampledKind::StructuralCloned { case, .. } => *case,
         }
     }
 
@@ -428,10 +415,10 @@ impl SampledProbe {
 
     /// [`score`](Self::score), additionally capturing a [`CommitReplay`]
     /// when the tree's incremental flow cache is enabled and the probe is a
-    /// journal-based structural one: the rollback records the applied
-    /// state's images on the way out, so the selection loop can commit this
-    /// candidate later by replaying the recorded mutations instead of
-    /// re-running the insertion.
+    /// structural one: the rollback records the applied state's images on
+    /// the way out, so the selection loop can commit this candidate later
+    /// by replaying the recorded mutations instead of re-running the
+    /// insertion.
     pub(crate) fn score_keeping(
         &mut self,
         tree: &mut FTree,
@@ -505,25 +492,6 @@ impl SampledProbe {
                         sampling_cost_edges: self.cost_edges,
                     },
                     replay,
-                )
-            }
-            SampledKind::StructuralCloned {
-                tree: clone,
-                cid,
-                case,
-            } => {
-                clone.set_bi_estimate(*cid, estimate);
-                let (flow, lower, upper) =
-                    clone.flow_with_bounds(graph, include_query, *cid, alpha);
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: *case,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    None,
                 )
             }
         }
@@ -1135,46 +1103,6 @@ impl FTree {
         e: EdgeId,
         base_flow: f64,
     ) -> Result<ProbePlan, CoreError> {
-        self.probe_plan_impl(graph, e, base_flow, false)
-    }
-
-    /// The pinned clone-based reference form of [`FTree::probe_plan`]: the
-    /// pre-journal engine, kept selectable so equivalence tests and the
-    /// `probe_churn` benchmark can compare probe engines edge-for-edge.
-    /// Structural plans carry a full tree clone, exactly as before.
-    pub fn probe_plan_cloning(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        e: EdgeId,
-        base_flow: f64,
-    ) -> Result<ProbePlan, CoreError> {
-        self.probe_plan_impl(graph, e, base_flow, true)
-    }
-
-    /// Flow gain of the Case II candidate `e`, which attaches the outside
-    /// vertex `leaf` to the tree vertex `anchor`:
-    /// `W(leaf) · p(e) · reach(anchor)`. The one formula behind both the
-    /// analytic leaf probe and the greedy loop's leaf index
-    /// ([`CandidateSet`](crate::selection::CandidateSet)), so the two
-    /// cannot drift apart.
-    pub(crate) fn leaf_delta(
-        &self,
-        graph: &ProbabilisticGraph,
-        e: EdgeId,
-        anchor: VertexId,
-        leaf: VertexId,
-    ) -> f64 {
-        let p = graph.probability(e).value();
-        graph.weight(leaf).value() * p * self.reach_to_query(anchor)
-    }
-
-    fn probe_plan_impl(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        e: EdgeId,
-        base_flow: f64,
-        cloning: bool,
-    ) -> Result<ProbePlan, CoreError> {
         match self.classify_candidate(graph, e)? {
             ProbeClass::Leaf { anchor, leaf } => {
                 let flow = base_flow + self.leaf_delta(graph, e, anchor, leaf);
@@ -1207,29 +1135,6 @@ impl FTree {
                     kind: SampledKind::InBi { cid },
                 })))
             }
-            ProbeClass::Structural if cloning => {
-                // Pinned reference: clone and insert now, estimate later.
-                let mut clone = self.clone();
-                let mut capture = CaptureProvider::default();
-                let report = clone
-                    .insert_edge(graph, e, &mut capture)
-                    .expect("probe preconditions were just checked");
-                let cid = report
-                    .component
-                    .expect("cycle insertions always produce a bi component");
-                let snapshot = capture
-                    .snapshot
-                    .expect("cycle insertions estimate their new component");
-                Ok(ProbePlan::Sampled(Box::new(SampledProbe {
-                    snapshot,
-                    cost_edges: report.sampled_edge_count,
-                    kind: SampledKind::StructuralCloned {
-                        tree: Box::new(clone),
-                        cid,
-                        case: report.case,
-                    },
-                })))
-            }
             ProbeClass::Structural => {
                 // Structural probe: journalled apply on the shared tree
                 // captures the would-be component's snapshot, then rolls
@@ -1253,10 +1158,27 @@ impl FTree {
             }
         }
     }
+
+    /// Flow gain of the Case II candidate `e`, which attaches the outside
+    /// vertex `leaf` to the tree vertex `anchor`:
+    /// `W(leaf) · p(e) · reach(anchor)`. The one formula behind both the
+    /// analytic leaf probe and the greedy loop's leaf index
+    /// ([`CandidateSet`](crate::selection::CandidateSet)), so the two
+    /// cannot drift apart.
+    pub(crate) fn leaf_delta(
+        &self,
+        graph: &ProbabilisticGraph,
+        e: EdgeId,
+        anchor: VertexId,
+        leaf: VertexId,
+    ) -> f64 {
+        let p = graph.probability(e).value();
+        graph.weight(leaf).value() * p * self.reach_to_query(anchor)
+    }
 }
 
 /// How a candidate probe is answered — the **single** classification shared
-/// by the plan engines and the fused [`FTree::probe_edge`] path, so the two
+/// by [`FTree::probe_plan`] and the fused [`FTree::probe_edge`] path, so the two
 /// can never drift apart.
 enum ProbeClass {
     /// Case II: `leaf` is outside the tree, `anchor` inside — analytic.
@@ -1264,7 +1186,7 @@ enum ProbeClass {
     /// Case IIIa inside bi component `cid` — override-scored, no mutation.
     InBi { cid: ComponentId },
     /// Cases IIIb/IV (plus the AV-adjacent IIIa probes routed the same
-    /// way): a mutating insertion, probed through the journal or a clone.
+    /// way): a mutating insertion, probed through the undo journal.
     Structural,
 }
 

@@ -337,9 +337,8 @@ thread_local! {
 }
 
 impl Clone for FTree {
-    /// Deep-copies the tree (used by tests, and by the pinned clone-based
-    /// probe reference). Debug builds count clones per thread so the
-    /// selection hot loop can assert it performs none; see
+    /// Deep-copies the tree (used by tests). Debug builds count clones per
+    /// thread so the selection hot loop can assert it performs none; see
     /// [`FTree::debug_clone_count`].
     fn clone(&self) -> Self {
         #[cfg(debug_assertions)]

@@ -3,7 +3,7 @@
 //! During each greedy iteration many candidate probes (re-)estimate
 //! bi-connected components. [`MemoProvider`] caches estimates keyed by the
 //! component's identity — articulation vertex + exact edge set (+ the sample
-//! budget, so confidence-interval races at different budgets do not alias).
+//! budget, so estimates at different budgets do not alias).
 //! If a component re-forms unchanged in a later probe or insertion, the
 //! cached reachability function is reused and no sampling happens. Staleness
 //! is automatic: any change to the component changes its edge set and
@@ -45,8 +45,8 @@ impl MemoProvider {
         &self.inner
     }
 
-    /// Mutable access to the wrapped provider (e.g. to adjust the sample
-    /// budget during confidence-interval races).
+    /// Mutable access to the wrapped provider (e.g. to adjust its sample
+    /// budget).
     pub fn inner_mut(&mut self) -> &mut SamplingProvider {
         &mut self.inner
     }
@@ -62,8 +62,8 @@ impl MemoProvider {
     }
 
     fn fingerprint(&self, snapshot: &ComponentGraph) -> u64 {
-        // The sample budget is part of the key so that low-budget racing
-        // estimates are never served where a full-budget one is expected.
+        // The sample budget is part of the key so that a low-budget
+        // estimate is never served where a full-budget one is expected.
         // (Estimates *stored* under a key may carry more samples than the
         // key's budget — see [`MemoProvider::store`] — never fewer.)
         let cfg: EstimatorConfig = self.inner.config();

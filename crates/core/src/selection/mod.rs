@@ -10,8 +10,7 @@ mod racing;
 pub use candidates::CandidateSet;
 pub use delayed::DelayTracker;
 pub use greedy::{
-    greedy_select, greedy_select_controlled, greedy_select_observed, CiEngine, GreedyConfig,
-    SelectionOutcome,
+    greedy_select, greedy_select_controlled, greedy_select_observed, GreedyConfig, SelectionOutcome,
 };
 pub use memo::MemoProvider;
 pub use observer::{NoObserver, SelectionObserver, SelectionStep};

@@ -18,7 +18,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
 
-use flowmax::core::{exact_max_flow, Algorithm, CiEngine, SelectionStep, Session};
+use flowmax::core::{exact_max_flow, Algorithm, SelectionStep, Session};
 use flowmax::datasets::{
     CollaborationConfig, ErdosConfig, PartitionedConfig, PreferentialConfig, RoadConfig,
     SocialCircleConfig, WsnConfig,
@@ -133,19 +133,6 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
     // same story as `FLOWMAX_LANES` and `Session::with_lane_words`.
     let lane_words: usize = args.parse_opt("lanes", flowmax::sampling::default_lane_words())?;
     let lane_words = flowmax::sampling::clamp_lane_words(lane_words, "--lanes");
-    // §6.3 race engine for the CI variants: "batched" (default) drives
-    // rounds as multi-candidate jobs on the parallel sampler; "scalar" is
-    // the pinned reference race. Case-insensitive.
-    let ci_engine = match args
-        .get("ci-race")
-        .unwrap_or("batched")
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "batched" => CiEngine::BatchedRace,
-        "scalar" => CiEngine::ScalarReference,
-        other => return Err(format!("unknown --ci-race {other:?} (batched, scalar)")),
-    };
 
     // Worker threads shard the batched sampling engine; results are
     // identical at any thread count, only wall-clock time changes.
@@ -159,8 +146,7 @@ fn cmd_solve(args: &Args) -> Result<(), String> {
         .algorithm(algorithm)
         .budget(budget)
         .samples(args.parse_opt("samples", 1000u32)?)
-        .include_query(args.has_flag("include-query"))
-        .ci_engine(ci_engine);
+        .include_query(args.has_flag("include-query"));
     let result = if args.has_flag("trace") {
         // Stream each committed edge as the greedy loop runs — the anytime
         // view: the first k lines are the answer for budget k.
@@ -258,8 +244,7 @@ flowmax — budgeted information-flow maximization in probabilistic graphs
 USAGE:
   flowmax solve    --graph <file> [--query N] [--budget K] [--algorithm NAME]
                    [--samples N] [--seed N] [--threads N] [--lanes 1|4|8]
-                   [--include-query] [--ci-race batched|scalar] [--trace]
-                   [--dot <file>]
+                   [--include-query] [--trace] [--dot <file>]
   flowmax exact    --graph <file> [--query N] [--budget K] [--include-query]
   flowmax stats    --graph <file>
   flowmax generate --dataset <name> [--vertices N] [--degree D] [--seed N]
@@ -281,7 +266,6 @@ fn allowed_options(command: &str) -> Option<(&'static [&'static str], &'static [
                 "seed",
                 "threads",
                 "lanes",
-                "ci-race",
                 "dot",
             ],
             &["include-query", "trace"],

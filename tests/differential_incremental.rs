@@ -1,23 +1,21 @@
 //! Differential pinning of the incremental greedy engine (the `O(touched)`
-//! iteration) against both reference engines over random graphs, budgets
-//! and seeds.
+//! iteration) against the journal reference engine, over random graphs,
+//! budgets and seeds plus two fixed structural-churn workloads.
 //!
-//! Three engines run every selection:
+//! Two engines run every selection:
 //!
 //! * **incremental** — `base + Δ(touched)` flow accounting, replay-based
 //!   commits, the versioned candidate bitmap (the default);
 //! * **journal reference** — `.with_incremental(false)`: full-tree flow
-//!   re-aggregation and `insert_edge` commits (the PR-5 engine);
-//! * **cloning reference** — additionally `.with_cloning_probes()`: the
-//!   original clone-per-probe engine.
+//!   re-aggregation and `insert_edge` commits.
 //!
-//! All three must agree **bit for bit** — same selections, same per-step
-//! flows, same per-step memoization-hit counts — under both confidence-
-//! interval race engines and at 1 and 8 sampling threads. Any divergence in
+//! Both must agree **bit for bit** — same selections, same per-step flows,
+//! same per-step memoization-hit and probe counts — for the `FT`, `FT+M`
+//! and `FT+M+CI+DS` stacks at 1 and 8 sampling threads. Any divergence in
 //! the touched-set flow delta, the replay commit, or the bitmap-maintained
 //! probe pool shows up here as a first-divergence step report.
 
-use flowmax::core::{greedy_select_observed, CiEngine, GreedyConfig, SelectionStep};
+use flowmax::core::{greedy_select_observed, GreedyConfig, SelectionStep};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
 use proptest::prelude::*;
 
@@ -116,62 +114,55 @@ fn trace(graph: &ProbabilisticGraph, config: &GreedyConfig) -> Trace {
     }
 }
 
-/// The three engine configurations differentiated by this harness.
-fn engines(base: &GreedyConfig) -> [(&'static str, GreedyConfig); 3] {
-    [
-        ("incremental", base.with_incremental(true)),
-        ("journal-reference", base.with_incremental(false)),
-        (
-            "cloning-reference",
-            base.with_incremental(false).with_cloning_probes(),
-        ),
-    ]
+/// The heuristic stacks differentiated by this harness.
+fn stacks(budget: usize, samples: u32) -> [GreedyConfig; 3] {
+    let mut ft = GreedyConfig::ft(budget, 48);
+    ft.samples = samples;
+    [ft, ft.with_memo(), ft.with_memo().with_ci().with_ds()]
+}
+
+/// Runs every stack of `stacks` under `seed` at 1 and 8 threads through
+/// both engines, and returns the first divergence, if any.
+fn first_divergence(
+    graph: &ProbabilisticGraph,
+    stacks: &[GreedyConfig],
+    seed: u64,
+) -> Option<String> {
+    for &stack in stacks {
+        for threads in [1usize, 8] {
+            let base = GreedyConfig {
+                seed,
+                threads,
+                ..stack
+            };
+            let reference = trace(graph, &base.with_incremental(false));
+            let incremental = trace(graph, &base.with_incremental(true));
+            if incremental != reference {
+                return Some(format!(
+                    "incremental diverged from journal-reference \
+                     (memo={}, ci={}, ds={}, threads={threads}):\n{incremental:?}\nvs\n{reference:?}",
+                    stack.memoize, stack.confidence_pruning, stack.delayed_sampling
+                ));
+            }
+        }
+    }
+    None
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The headline differential property: for every heuristic stack, every
-    /// CI race engine and both thread counts, the incremental engine's full
-    /// trace (selections, per-step flow bits, per-step memo hits, probe
-    /// counts) is identical to both reference engines'.
+    /// The headline differential property: for every heuristic stack and
+    /// both thread counts, the incremental engine's full trace (selections,
+    /// per-step flow bits, per-step memo hits, probe counts) is identical
+    /// to the journal reference's.
     #[test]
     fn engines_agree_bit_for_bit(
         (spec, budget, seed) in (graph_spec(), 1usize..7, 0u64..1_000_000)
     ) {
         let g = build(&spec);
-        let stacks = [
-            GreedyConfig::ft(budget, 48),
-            GreedyConfig::ft(budget, 48).with_memo(),
-            GreedyConfig::ft(budget, 48).with_memo().with_ci().with_ds(),
-        ];
-        for stack in stacks {
-            let ci_engines: &[CiEngine] = if stack.confidence_pruning {
-                &[CiEngine::BatchedRace, CiEngine::ScalarReference]
-            } else {
-                &[CiEngine::BatchedRace]
-            };
-            for &ci_engine in ci_engines {
-                for threads in [1usize, 8] {
-                    let base = GreedyConfig {
-                        seed,
-                        threads,
-                        ci_engine,
-                        ..stack
-                    };
-                    let [(_, inc), (_, journal), (_, cloning)] = engines(&base);
-                    let reference = trace(&g, &journal);
-                    for (name, cfg) in [("incremental", inc), ("cloning-reference", cloning)] {
-                        let t = trace(&g, &cfg);
-                        prop_assert_eq!(
-                            &t, &reference,
-                            "{} diverged from journal-reference (ci={:?}, threads={})",
-                            name, ci_engine, threads
-                        );
-                    }
-                }
-            }
-        }
+        let divergence = first_divergence(&g, &stacks(budget, 1000), seed);
+        prop_assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
     }
 
     /// Thread invariance of the incremental engine on its own: the trace at
@@ -187,4 +178,111 @@ proptest! {
         let wide = trace(&g, &GreedyConfig { seed, threads: 8, ..base });
         prop_assert_eq!(solo, wide);
     }
+}
+
+/// A chain of `links` diamonds `h_i → {a_i, b_i} → h_{i+1}` of near-certain
+/// edges, with `h_0 = Q` and hubs `h_{i+1}` of weight `tail`, plus one
+/// low-probability rung chord `a_i – a_{i+1}` per pair of links.
+///
+/// The selection grows a chain of small bi-connected components, and every
+/// open chord is a Case IV candidate across two of them, re-probed every
+/// iteration and never selected. With a heavy `tail` the greedy closes
+/// each diamond as soon as it opens it, so chord probes bridge completed
+/// components along an `O(links)`-deep block tree: structural churn at a
+/// size the random graphs above never reach.
+fn diamond_chain(links: usize, tail: f64) -> ProbabilisticGraph {
+    let mut b = GraphBuilder::new();
+    let diamond = Probability::new(0.99).unwrap();
+    let chord = Probability::new(0.05).unwrap();
+    let tail = Weight::new(tail).unwrap();
+    let mut hub = b.add_vertex(Weight::ONE);
+    let mut prev_a: Option<VertexId> = None;
+    for _ in 0..links {
+        let a = b.add_vertex(Weight::ONE);
+        let bb = b.add_vertex(Weight::ONE);
+        let next = b.add_vertex(tail);
+        b.add_edge(hub, a, diamond).unwrap();
+        b.add_edge(hub, bb, diamond).unwrap();
+        b.add_edge(a, next, diamond).unwrap();
+        b.add_edge(bb, next, diamond).unwrap();
+        if let Some(pa) = prev_a {
+            b.add_edge(pa, a, chord).unwrap();
+        }
+        prev_a = Some(a);
+        hub = next;
+    }
+    b.build()
+}
+
+/// `diamonds` diamond blocks `h → {a, b} → t` of near-certain edges, each
+/// anchored at a degree-weighted existing vertex (an endpoint of a
+/// uniformly chosen earlier block edge), so the block tree is
+/// preferential-attachment shaped: shallow and skewed. Every block carries
+/// its low-probability `a – b` diagonal, which after the block completes is
+/// an in-component (Case IIIa) candidate re-probed every iteration and
+/// never selected. Heavy tails (`t` weighs 200) make the greedy complete
+/// each block as soon as it opens it. Deterministic per `seed` (inline
+/// xorshift).
+fn preferential_diamonds(diamonds: usize, seed: u64) -> ProbabilisticGraph {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let rail = Probability::new(0.99).unwrap();
+    let chord = Probability::new(0.05).unwrap();
+    let tail = Weight::new(200.0).unwrap();
+    let mut b = GraphBuilder::new();
+    let q = b.add_vertex(Weight::ONE);
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    for _ in 0..diamonds {
+        let hub = if edges.is_empty() {
+            q
+        } else {
+            let (x, y) = edges[next() as usize % edges.len()];
+            if next() & 1 == 0 {
+                x
+            } else {
+                y
+            }
+        };
+        let a = b.add_vertex(Weight::ONE);
+        let bb = b.add_vertex(Weight::ONE);
+        let t = b.add_vertex(tail);
+        b.add_edge(hub, a, rail).unwrap();
+        b.add_edge(hub, bb, rail).unwrap();
+        b.add_edge(a, t, rail).unwrap();
+        b.add_edge(bb, t, rail).unwrap();
+        b.add_edge(a, bb, chord).unwrap();
+        edges.extend([(hub, a), (hub, bb), (a, t), (bb, t)]);
+    }
+    b.build()
+}
+
+#[test]
+fn engines_agree_on_the_diamond_chain() {
+    let links = 60;
+    let g = diamond_chain(links, 200.0);
+    assert_eq!(g.vertex_count(), 3 * links + 1);
+    assert_eq!(g.edge_count(), 4 * links + links - 1);
+    // The budget is exactly the diamond edges.
+    let divergence = first_divergence(&g, &stacks(4 * links, 200), 13);
+    assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
+}
+
+#[test]
+fn engines_agree_on_preferential_diamonds() {
+    let diamonds = 60;
+    let g = preferential_diamonds(diamonds, 1706);
+    assert_eq!(g.vertex_count(), 3 * diamonds + 1);
+    assert_eq!(g.edge_count(), 5 * diamonds);
+    assert_eq!(
+        g.fingerprint(),
+        preferential_diamonds(diamonds, 1706).fingerprint(),
+        "the workload is deterministic per seed"
+    );
+    let divergence = first_divergence(&g, &stacks(4 * diamonds, 200), 13);
+    assert!(divergence.is_none(), "{}", divergence.unwrap_or_default());
 }

@@ -1,14 +1,12 @@
 //! Property-based tests of the F-tree undo journal: `apply` → `rollback`
 //! must restore the tree **bit-identically** (structure, cached estimates,
 //! local-id maps, arena/free-list layout, version numbers) over random
-//! graphs and insertion orders, and the journal-based probe engine must
-//! score every candidate exactly like the pinned clone-based reference.
+//! graphs and insertion orders, and a journalled probe must score every
+//! sampled candidate exactly like inserting it into a copy of the tree.
 
-use flowmax::core::{
-    greedy_select, EstimateProvider, EstimatorConfig, FTree, GreedyConfig, ProbePlan,
-    SamplingProvider,
-};
+use flowmax::core::{EstimateProvider, EstimatorConfig, FTree, ProbePlan, SamplingProvider};
 use flowmax::graph::{EdgeId, GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
+use flowmax::sampling::{ComponentEstimate, ComponentGraph};
 use proptest::prelude::*;
 
 /// A random small uncertain graph: a spanning tree over `n` vertices plus
@@ -98,6 +96,26 @@ fn candidates(g: &ProbabilisticGraph, tree: &FTree) -> Vec<EdgeId> {
         .collect()
 }
 
+/// Hands one recorded estimate to the single component an insertion
+/// (re-)estimates, checking it is the component the probe estimated.
+struct Supplied {
+    fingerprint: u64,
+    estimate: Option<ComponentEstimate>,
+}
+
+impl EstimateProvider for Supplied {
+    fn estimate(&mut self, snapshot: &ComponentGraph) -> ComponentEstimate {
+        assert_eq!(
+            snapshot.fingerprint(),
+            self.fingerprint,
+            "the insertion estimated a different component than the probe"
+        );
+        self.estimate
+            .take()
+            .expect("an insertion estimates exactly one component")
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -133,15 +151,16 @@ proptest! {
         }
     }
 
-    /// Journal-based probe plans score **identically** to the pinned
-    /// clone-based reference, edge for edge: same flow, same bounds, same
-    /// case, same sampling cost — under both exact and Monte-Carlo
-    /// estimates (paired providers on the same seed keep the sample
-    /// streams aligned between the two engines).
+    /// Journal-based probe plans score **identically** to the oracle of
+    /// inserting the candidate into a copy of the tree under the same
+    /// estimate and evaluating it there, edge for edge: same flow, same
+    /// bounds, same case, same sampling cost — under both exact and
+    /// Monte-Carlo estimates.
     #[test]
     fn journal_probe_scores_equal_clone_probe_scores(spec in graph_spec()) {
         let g = build(&spec);
         let query = VertexId(0);
+        let alpha = 0.01;
         for mc in [false, true] {
             let config = if mc {
                 EstimatorConfig::monte_carlo(128)
@@ -149,43 +168,40 @@ proptest! {
                 EstimatorConfig::exact()
             };
             let mut grow = SamplingProvider::new(config, 0);
-            let mut journal_provider = SamplingProvider::new(config, 9);
-            let mut clone_provider = SamplingProvider::new(config, 9);
+            let mut probe_provider = SamplingProvider::new(config, 9);
             let mut tree = FTree::new(&g, query);
             let mut step = 0usize;
             loop {
                 let base = tree.expected_flow(&g, false);
                 for e in candidates(&g, &tree) {
-                    let journal_outcome =
-                        match tree.probe_plan(&g, e, base).unwrap() {
-                            ProbePlan::Analytic(outcome) => outcome,
-                            ProbePlan::Sampled(mut plan) => {
-                                let est = journal_provider.estimate(plan.snapshot());
-                                plan.score(&mut tree, &g, false, 0.01, est)
-                            }
-                        };
-                    let clone_outcome =
-                        match tree.probe_plan_cloning(&g, e, base).unwrap() {
-                            ProbePlan::Analytic(outcome) => outcome,
-                            ProbePlan::Sampled(mut plan) => {
-                                let est = clone_provider.estimate(plan.snapshot());
-                                plan.score(&mut tree, &g, false, 0.01, est)
-                            }
-                        };
-                    prop_assert_eq!(journal_outcome.case, clone_outcome.case, "case of {:?}", e);
-                    prop_assert_eq!(
-                        journal_outcome.sampling_cost_edges,
-                        clone_outcome.sampling_cost_edges
-                    );
-                    // Bit-identical, not approximately equal: both engines
-                    // must evaluate the same structure under the same
-                    // estimate.
-                    prop_assert_eq!(journal_outcome.flow.to_bits(), clone_outcome.flow.to_bits(),
-                        "flow of {:?}: {} vs {}", e, journal_outcome.flow, clone_outcome.flow);
-                    prop_assert_eq!(journal_outcome.lower.to_bits(), clone_outcome.lower.to_bits());
-                    prop_assert_eq!(journal_outcome.upper.to_bits(), clone_outcome.upper.to_bits());
+                    let ProbePlan::Sampled(mut plan) = tree.probe_plan(&g, e, base).unwrap()
+                    else {
+                        continue;
+                    };
+                    let estimate = probe_provider.estimate(plan.snapshot());
+                    let mut supplied = Supplied {
+                        fingerprint: plan.snapshot().fingerprint(),
+                        estimate: Some(estimate.clone()),
+                    };
+                    let outcome = plan.score(&mut tree, &g, false, alpha, estimate);
                     // Probing must leave the tree's flow untouched.
                     prop_assert_eq!(tree.expected_flow(&g, false).to_bits(), base.to_bits());
+
+                    let mut copy = tree.clone();
+                    let report = copy.insert_edge(&g, e, &mut supplied).unwrap();
+                    let cid = report
+                        .component
+                        .expect("sampled insertions (re-)estimate a bi component");
+                    let flow = copy.expected_flow(&g, false);
+                    let (lower, upper) = copy.flow_bounds_for_component(&g, false, cid, alpha);
+                    prop_assert_eq!(outcome.case, report.case, "case of {:?}", e);
+                    prop_assert_eq!(outcome.sampling_cost_edges, report.sampled_edge_count);
+                    // Bit-identical, not approximately equal: both sides
+                    // evaluate the same structure under the same estimate.
+                    prop_assert_eq!(outcome.flow.to_bits(), flow.to_bits(),
+                        "flow of {:?}: {} vs {}", e, outcome.flow, flow);
+                    prop_assert_eq!(outcome.lower.to_bits(), lower.to_bits());
+                    prop_assert_eq!(outcome.upper.to_bits(), upper.to_bits());
                 }
                 let cands = candidates(&g, &tree);
                 if cands.is_empty() {
@@ -195,29 +211,6 @@ proptest! {
                 step += 1;
                 tree.insert_edge(&g, cands[pick], &mut grow).unwrap();
             }
-        }
-    }
-
-    /// End to end: greedy selections with the journal engine are
-    /// bit-identical to the pinned clone-based engine across the heuristic
-    /// stacks (the clone path *is* the pre-journal code, so this pins the
-    /// whole selection behaviour to `main`'s).
-    #[test]
-    fn selections_are_bit_identical_to_the_cloning_reference(spec in graph_spec()) {
-        let g = build(&spec);
-        let query = VertexId(0);
-        let configs = [
-            GreedyConfig::ft(6, 11),
-            GreedyConfig::ft(6, 11).with_memo(),
-            GreedyConfig::ft(6, 11).with_memo().with_ci(),
-            GreedyConfig::ft(6, 11).with_memo().with_ci().with_ds(),
-        ];
-        for cfg in configs {
-            let journal_run = greedy_select(&g, query, &cfg);
-            let clone_run = greedy_select(&g, query, &cfg.with_cloning_probes());
-            prop_assert_eq!(&journal_run.selected, &clone_run.selected);
-            prop_assert_eq!(journal_run.final_flow.to_bits(), clone_run.final_flow.to_bits());
-            prop_assert_eq!(&journal_run.flow_trace, &clone_run.flow_trace);
         }
     }
 }
