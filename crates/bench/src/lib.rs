@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod probe_churn;
 pub mod report;
 pub mod runner;
 pub mod serve_bench;

@@ -1,46 +1,28 @@
-//! The structural-probe-churn snapshots behind `BENCH_5.json` and
-//! `BENCH_6.json`: selection wall-time across the three probe/commit
-//! engines on workloads built so that **structural** candidate probes
-//! (cases IIIb/IV) dominate every greedy iteration.
+//! Structural-probe-churn workloads: graphs built so that **structural**
+//! candidate probes (cases IIIa/IIIb/IV) dominate every greedy iteration.
 //!
-//! `BENCH_5` (PR 5) pins journal-based probing against the clone-based
-//! reference. `BENCH_6` adds the `O(touched)` incremental engine —
-//! `base + Δ(touched)` probe flow, replay-based commits, the versioned
-//! candidate bitmap — against both references, on the diamond chain plus a
-//! preferential-attachment churn workload.
+//! Two shapes. The *diamond chain* ([`diamond_chain`],
+//! [`diamond_chain_weighted`]) has `B` links, each a 4-edge diamond
+//! `h_i → {a_i, b_i} → h_{i+1}` of near-certain edges, so the selected
+//! subgraph grows into a chain of `B` small bi-connected components. One
+//! low-probability rung chord `a_i – a_{i+1}` per link is never worth
+//! selecting but stays in the candidate list forever: every iteration
+//! re-probes every open chord, and each such probe is a Case IV structural
+//! insertion across two adjacent components along an `O(B)`-deep block
+//! tree.
 //!
-//! `BENCH_5`'s workload is a *diamond chain*: `B` links, each a 4-edge
-//! diamond `h_i → {a_i, b_i} → h_{i+1}` of near-certain edges, so the
-//! selected subgraph grows into a chain of `B` small bi-connected
-//! components. One low-probability rung chord `a_i – a_{i+1}` per link is
-//! never worth selecting but stays in the candidate list forever — every
-//! iteration re-probes every open chord, and each such probe is a Case IV
-//! structural insertion across two adjacent components. The clone-based
-//! engine pays a whole-tree copy (`O(B)` components) per chord probe; the
-//! journal pays only the two components the cycle touches. Selections are
-//! bit-identical between the engines, so the wall-time ratio isolates the
-//! probe-path change.
+//! The *preferential-attachment churn* ([`preferential_attachment_churn`])
+//! grows diamond blocks from degree-weighted hubs into a shallow,
+//! organically skewed block tree and churns on in-component diagonals
+//! (Case IIIa): probes that mutate nothing, so their cost is almost
+//! entirely flow evaluation.
 //!
-//! `BENCH_6` runs two shapes of that churn. The chain returns with heavy
-//! tail weights ([`diamond_chain_weighted`]) so the greedy closes each
-//! link on arrival and every chord probe bridges completed components —
-//! its `O(B)`-deep block tree is the incremental overlay's *worst case*.
-//! The second shape, [`preferential_attachment_churn`], grows diamond
-//! blocks from degree-weighted hubs into a shallow, organically skewed
-//! block tree and churns on in-component diagonals (Case IIIa): probes
-//! that mutate nothing, where journal probing still re-aggregates all
-//! `O(n)` components per probe but the overlay touches only an
-//! `O(depth)` path.
+//! The incremental-vs-journal differential harness
+//! (`tests/differential_incremental.rs` of the facade crate) runs both
+//! workloads at 60 links/diamonds; the tests below keep small instances of
+//! the same check next to the generators.
 
-use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
-
-use flowmax_core::{Algorithm, Session};
 use flowmax_graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
-
-use crate::Scale;
 
 /// Builds the diamond-chain churn graph with `links` diamonds.
 ///
@@ -56,22 +38,18 @@ pub fn diamond_chain(links: usize) -> ProbabilisticGraph {
 /// [`diamond_chain`] with the chain hubs `h_{i+1}` carrying weight `tail`
 /// instead of one.
 ///
-/// A heavy tail (`BENCH_6` uses 200) makes closing a link's second rail
+/// A heavy tail (200, say) makes closing a link's second rail
 /// (≈ `0.0098 · tail` flow gain) outrank opening the next link's leaves
 /// (≈ 0.97), so the greedy selection completes each diamond as soon as it
 /// reaches it. The mono frontier of incomplete links then stays `O(1)`:
-/// chord probes always bridge two *completed* bi-connected components —
-/// a cheap `O(1)` journalled merge — instead of carving paths out of a
-/// large mono component, which costs both engines an `O(frontier)` regroup
-/// per probe and would drown the flow-evaluation difference the benchmark
-/// isolates.
+/// chord probes always bridge two *completed* bi-connected components
+/// instead of carving paths out of a large mono component.
 pub fn diamond_chain_weighted(links: usize, tail: Weight) -> ProbabilisticGraph {
     assert!(links >= 2, "need at least two links for cross-link chords");
     let mut b = GraphBuilder::new();
     let diamond = Probability::new(0.99).unwrap();
     let chord = Probability::new(0.05).unwrap();
-    let h0 = b.add_vertex(Weight::ONE);
-    let mut hub = h0;
+    let mut hub = b.add_vertex(Weight::ONE);
     let mut prev_a: Option<VertexId> = None;
     for _ in 0..links {
         let a = b.add_vertex(Weight::ONE);
@@ -93,23 +71,15 @@ pub fn diamond_chain_weighted(links: usize, tail: Weight) -> ProbabilisticGraph 
 /// Builds the preferential-attachment churn graph: `diamonds` four-edge
 /// diamond blocks `h → {a, b} → t` of near-certain edges, each anchored at
 /// a **degree-weighted** existing vertex (an endpoint of a uniformly chosen
-/// existing backbone edge — the classic preferential-attachment trick), so
-/// hubs accrete many blocks and the selected block tree is PA-shaped:
-/// `O(log n)` deep instead of the diamond *chain*'s `O(n)`.
+/// existing backbone edge), so hubs accrete many blocks and the selected
+/// block tree is `O(log n)` deep instead of the diamond chain's `O(n)`.
 ///
 /// The first `chords` diamonds additionally carry the churn chord — their
-/// low-probability `a–b` diagonal. Under a budget equal to the backbone
-/// edge count the greedy selection commits exactly the diamonds; once a
-/// diamond completes, its diagonal joins two members of one bi-connected
-/// component and stays an open **in-component (Case IIIa)** candidate that
-/// is re-probed every iteration and never selected. A IIIa probe mutates
-/// nothing — snapshot extension plus a memoized estimate — so the probe's
-/// wall time is almost entirely flow evaluation: whole-forest
-/// re-aggregation (`O(n)` components) for the journal reference versus the
-/// `O(touched)` overlay for the incremental engine, on a shallow block
-/// tree. This isolates exactly the asymptotic gap the incremental engine
-/// closes, on an organically skewed topology rather than the worst-case
-/// chain.
+/// low-probability `a–b` diagonal. Once a diamond completes, its diagonal
+/// joins two members of one bi-connected component and stays an open
+/// **in-component (Case IIIa)** candidate that is re-probed every iteration
+/// and never selected. Tails weigh 200, so the greedy completes each
+/// diamond as soon as it opens it.
 ///
 /// Deterministic for a given `(diamonds, chords, seed)` via an inline
 /// xorshift — no RNG dependency.
@@ -128,12 +98,6 @@ pub fn preferential_attachment_churn(
     };
     let rail = Probability::new(0.99).unwrap();
     let chord = Probability::new(0.05).unwrap();
-    // Heavy tails make closing a diamond's second rail (≈ 0.0098 · 200 ≈ 2
-    // flow gain) outrank opening new leaves (≈ 0.97), so the greedy
-    // selection completes each diamond as soon as it opens it. The mono
-    // frontier of incomplete diamonds then stays O(1) — structural rail
-    // probes never carve a large mono component — and the chord churn
-    // starts in the first iterations instead of after the whole backbone.
     let tail = Weight::new(200.0).unwrap();
     let mut b = GraphBuilder::new();
     let q = b.add_vertex(Weight::ONE);
@@ -159,365 +123,30 @@ pub fn preferential_attachment_churn(
         if d < chords {
             b.add_edge(a, bb, chord).unwrap();
         }
-        edges.push((hub, a));
-        edges.push((hub, bb));
-        edges.push((a, t));
-        edges.push((bb, t));
+        edges.extend([(hub, a), (hub, bb), (a, t), (bb, t)]);
     }
     b.build()
-}
-
-/// Which probe/commit engine a measurement pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEngine {
-    /// The `O(touched)` incremental engine (the library default):
-    /// cached `base + Δ(touched)` probe flow and replay-based commits.
-    Incremental,
-    /// The PR-5 journal reference: journalled probes but whole-forest flow
-    /// re-aggregation and `insert_edge` commits.
-    Journal,
-    /// The pinned clone-per-probe reference engine.
-    Cloning,
-}
-
-impl ProbeEngine {
-    /// The row name emitted into the JSON snapshots.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProbeEngine::Incremental => "incremental_probes",
-            ProbeEngine::Journal => "journal_probes",
-            ProbeEngine::Cloning => "cloning_probes",
-        }
-    }
-}
-
-/// One measured probe engine.
-#[derive(Debug, Clone)]
-pub struct ChurnMeasurement {
-    /// Engine name (`incremental_probes` / `journal_probes` /
-    /// `cloning_probes`).
-    pub name: String,
-    /// Selection wall-time in milliseconds (best of the repetitions).
-    pub selection_ms: f64,
-    /// Selection throughput: edges committed per second of selection time.
-    pub edges_per_sec: f64,
-    /// Candidate probes answered during the selection.
-    pub probes: u64,
-    /// Monte-Carlo worlds drawn during selection.
-    pub samples_drawn: u64,
-    /// Expected flow of the selection under the shared evaluator.
-    pub flow: f64,
-    /// Edges selected.
-    pub selected: usize,
-}
-
-/// The full snapshot.
-#[derive(Debug, Clone)]
-pub struct ChurnBench {
-    /// Workload shape.
-    pub graph: String,
-    /// Edge budget `k`.
-    pub budget: usize,
-    /// Monte-Carlo samples per component estimation.
-    pub samples: u32,
-    /// Both engines' measurements.
-    pub rows: Vec<ChurnMeasurement>,
-    /// Wall-time speedup of the journal engine over the clone-based
-    /// reference — the headline number (the ISSUE demands ≥ 2×).
-    pub speedup_cloning_vs_journal: f64,
-}
-
-fn measure(
-    graph: &ProbabilisticGraph,
-    engine: ProbeEngine,
-    budget: usize,
-    samples: u32,
-    reps: u32,
-) -> ChurnMeasurement {
-    let name = engine.name();
-    let session = Session::new(graph).with_threads(1).with_seed(13);
-    let builder = session
-        .query(VertexId(0))
-        .expect("Q is a graph vertex")
-        .algorithm(Algorithm::FtM)
-        .budget(budget)
-        .samples(samples);
-    let spec = match engine {
-        ProbeEngine::Incremental => builder.spec(),
-        ProbeEngine::Journal => builder.incremental(false).spec(),
-        ProbeEngine::Cloning => builder.incremental(false).cloning_probes(true).spec(),
-    };
-    let mut best: Option<ChurnMeasurement> = None;
-    for _ in 0..reps.max(1) {
-        let r = &session.run_many(&[spec]).expect("validated spec")[0];
-        let secs = r.elapsed.as_secs_f64().max(1e-9);
-        let m = ChurnMeasurement {
-            name: name.to_string(),
-            selection_ms: secs * 1e3,
-            edges_per_sec: r.selected.len() as f64 / secs,
-            probes: r.metrics.probes,
-            samples_drawn: r.metrics.samples_drawn,
-            flow: r.flow,
-            selected: r.selected.len(),
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| m.selection_ms < b.selection_ms)
-        {
-            best = Some(m);
-        }
-    }
-    best.expect("at least one repetition")
-}
-
-/// Runs the snapshot: the same `FT+M` selection once per probe engine.
-/// Selections are bit-identical (asserted), so the ratio is pure probe-path
-/// wall time.
-pub fn run(scale: &Scale, reps: u32) -> ChurnBench {
-    let links = scale.pick(200, 100);
-    let graph = diamond_chain(links);
-    let budget = 4 * links; // exactly the diamond edges
-    let samples = 1000;
-    let journal = measure(&graph, ProbeEngine::Journal, budget, samples, reps);
-    let cloning = measure(&graph, ProbeEngine::Cloning, budget, samples, reps);
-    assert_eq!(
-        journal.flow, cloning.flow,
-        "probe engines must select bit-identically"
-    );
-    assert_eq!(journal.selected, cloning.selected);
-    let speedup = cloning.selection_ms / journal.selection_ms.max(1e-9);
-    ChurnBench {
-        graph: format!(
-            "diamond_chain(links={links}, n={}, m={})",
-            graph.vertex_count(),
-            graph.edge_count()
-        ),
-        budget,
-        samples,
-        speedup_cloning_vs_journal: speedup,
-        rows: vec![journal, cloning],
-    }
-}
-
-impl ChurnBench {
-    /// Renders the snapshot as pretty-printed JSON (assembled by hand — no
-    /// external crates in the build environment; every emitted value is a
-    /// plain number or an escape-free ASCII string).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"bench\": \"probe_churn\",");
-        let _ = writeln!(s, "  \"graph\": \"{}\",", self.graph);
-        let _ = writeln!(s, "  \"budget\": {},", self.budget);
-        let _ = writeln!(s, "  \"samples\": {},", self.samples);
-        let _ = writeln!(
-            s,
-            "  \"speedup_cloning_vs_journal\": {:.3},",
-            self.speedup_cloning_vs_journal
-        );
-        let _ = writeln!(s, "  \"configs\": [");
-        for (i, r) in self.rows.iter().enumerate() {
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"name\": \"{}\",", r.name);
-            let _ = writeln!(s, "      \"selection_ms\": {:.3},", r.selection_ms);
-            let _ = writeln!(s, "      \"edges_per_sec\": {:.1},", r.edges_per_sec);
-            let _ = writeln!(s, "      \"probes\": {},", r.probes);
-            let _ = writeln!(s, "      \"samples_drawn\": {},", r.samples_drawn);
-            let _ = writeln!(s, "      \"selected\": {},", r.selected);
-            let _ = writeln!(s, "      \"flow\": {:.6}", r.flow);
-            let comma = if i + 1 == self.rows.len() { "" } else { "," };
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes the JSON snapshot to `path`.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.to_json())
-    }
-}
-
-/// One `BENCH_6` workload: the same selection run once per engine.
-#[derive(Debug, Clone)]
-pub struct IncrementalWorkload {
-    /// Workload name (`diamond_chain` / `preferential_attachment`).
-    pub workload: String,
-    /// Graph shape, human-readable.
-    pub graph: String,
-    /// Edge budget `k`.
-    pub budget: usize,
-    /// Monte-Carlo samples per component estimation.
-    pub samples: u32,
-    /// All three engines' measurements, incremental first.
-    pub rows: Vec<ChurnMeasurement>,
-    /// Wall-time speedup of the incremental engine over the PR-5 journal
-    /// reference — the headline number (the ISSUE demands ≥ 2×).
-    pub speedup_incremental_vs_journal: f64,
-    /// Wall-time speedup of the incremental engine over the clone-based
-    /// reference.
-    pub speedup_incremental_vs_cloning: f64,
-}
-
-/// The full `BENCH_6` snapshot: the incremental engine raced against both
-/// pinned references on every churn workload.
-#[derive(Debug, Clone)]
-pub struct IncrementalBench {
-    /// Per-workload measurements.
-    pub workloads: Vec<IncrementalWorkload>,
-    /// Minimum incremental-vs-journal speedup across workloads.
-    pub min_speedup_incremental_vs_journal: f64,
-}
-
-fn run_workload(
-    workload: &str,
-    graph_label: String,
-    graph: &ProbabilisticGraph,
-    budget: usize,
-    samples: u32,
-    reps: u32,
-) -> IncrementalWorkload {
-    let incremental = measure(graph, ProbeEngine::Incremental, budget, samples, reps);
-    let journal = measure(graph, ProbeEngine::Journal, budget, samples, reps);
-    let cloning = measure(graph, ProbeEngine::Cloning, budget, samples, reps);
-    for reference in [&journal, &cloning] {
-        assert_eq!(
-            incremental.flow.to_bits(),
-            reference.flow.to_bits(),
-            "{workload}: engines must select bit-identically ({} vs {})",
-            incremental.name,
-            reference.name,
-        );
-        assert_eq!(incremental.selected, reference.selected);
-    }
-    let speedup_journal = journal.selection_ms / incremental.selection_ms.max(1e-9);
-    let speedup_cloning = cloning.selection_ms / incremental.selection_ms.max(1e-9);
-    IncrementalWorkload {
-        workload: workload.to_string(),
-        graph: graph_label,
-        budget,
-        samples,
-        rows: vec![incremental, journal, cloning],
-        speedup_incremental_vs_journal: speedup_journal,
-        speedup_incremental_vs_cloning: speedup_cloning,
-    }
-}
-
-/// Runs the `BENCH_6` snapshot: `FT+M` selection under all three probe
-/// engines on the heavy-tail diamond chain and on the
-/// preferential-attachment diamond churn workload. Selections are asserted
-/// bit-identical per workload, so every ratio is pure
-/// probe-and-commit-path wall time.
-pub fn run_bench6(scale: &Scale, reps: u32) -> IncrementalBench {
-    let mut workloads = Vec::new();
-    let tail = Weight::new(200.0).unwrap();
-
-    let links = scale.pick(500, 60);
-    let diamond = diamond_chain_weighted(links, tail);
-    workloads.push(run_workload(
-        "diamond_chain",
-        format!(
-            "diamond_chain_weighted(links={links}, tail=200, n={}, m={})",
-            diamond.vertex_count(),
-            diamond.edge_count()
-        ),
-        &diamond,
-        4 * links,
-        1000,
-        reps,
-    ));
-
-    let diamonds = scale.pick(500, 60);
-    let pa = preferential_attachment_churn(diamonds, diamonds, 1706);
-    workloads.push(run_workload(
-        "preferential_attachment",
-        format!(
-            "preferential_attachment_churn(diamonds={diamonds}, chords={diamonds}, n={}, m={})",
-            pa.vertex_count(),
-            pa.edge_count()
-        ),
-        &pa,
-        4 * diamonds,
-        1000,
-        reps,
-    ));
-
-    let min_speedup = workloads
-        .iter()
-        .map(|w| w.speedup_incremental_vs_journal)
-        .fold(f64::INFINITY, f64::min);
-    IncrementalBench {
-        workloads,
-        min_speedup_incremental_vs_journal: min_speedup,
-    }
-}
-
-impl IncrementalBench {
-    /// Renders the snapshot as pretty-printed JSON (assembled by hand — no
-    /// external crates in the build environment; every emitted value is a
-    /// plain number or an escape-free ASCII string).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"bench\": \"incremental_churn\",");
-        let _ = writeln!(
-            s,
-            "  \"min_speedup_incremental_vs_journal\": {:.3},",
-            self.min_speedup_incremental_vs_journal
-        );
-        let _ = writeln!(s, "  \"workloads\": [");
-        for (wi, w) in self.workloads.iter().enumerate() {
-            let _ = writeln!(s, "    {{");
-            let _ = writeln!(s, "      \"workload\": \"{}\",", w.workload);
-            let _ = writeln!(s, "      \"graph\": \"{}\",", w.graph);
-            let _ = writeln!(s, "      \"budget\": {},", w.budget);
-            let _ = writeln!(s, "      \"samples\": {},", w.samples);
-            let _ = writeln!(
-                s,
-                "      \"speedup_incremental_vs_journal\": {:.3},",
-                w.speedup_incremental_vs_journal
-            );
-            let _ = writeln!(
-                s,
-                "      \"speedup_incremental_vs_cloning\": {:.3},",
-                w.speedup_incremental_vs_cloning
-            );
-            let _ = writeln!(s, "      \"configs\": [");
-            for (i, r) in w.rows.iter().enumerate() {
-                let _ = writeln!(s, "        {{");
-                let _ = writeln!(s, "          \"name\": \"{}\",", r.name);
-                let _ = writeln!(s, "          \"selection_ms\": {:.3},", r.selection_ms);
-                let _ = writeln!(s, "          \"edges_per_sec\": {:.1},", r.edges_per_sec);
-                let _ = writeln!(s, "          \"probes\": {},", r.probes);
-                let _ = writeln!(s, "          \"samples_drawn\": {},", r.samples_drawn);
-                let _ = writeln!(s, "          \"selected\": {},", r.selected);
-                let _ = writeln!(s, "          \"flow\": {:.6}", r.flow);
-                let comma = if i + 1 == w.rows.len() { "" } else { "," };
-                let _ = writeln!(s, "        }}{comma}");
-            }
-            let _ = writeln!(s, "      ]");
-            let comma = if wi + 1 == self.workloads.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(s, "    }}{comma}");
-        }
-        let _ = writeln!(s, "  ]");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Writes the JSON snapshot to `path`.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.to_json())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowmax_core::{greedy_select, GreedyConfig};
+
+    /// Asserts the incremental engine and the journal reference commit the
+    /// same edges and report the same final flow bits on an `FT+M` run.
+    fn assert_engines_agree(graph: &ProbabilisticGraph, budget: usize) {
+        let mut config = GreedyConfig::ft(budget, 13).with_memo().with_threads(1);
+        config.samples = 60;
+        let incremental = greedy_select(graph, VertexId(0), &config.with_incremental(true));
+        let journal = greedy_select(graph, VertexId(0), &config.with_incremental(false));
+        assert_eq!(incremental.selected, journal.selected);
+        assert_eq!(
+            incremental.final_flow.to_bits(),
+            journal.final_flow.to_bits()
+        );
+        assert_eq!(incremental.selected.len(), budget);
+    }
 
     #[test]
     fn diamond_chain_shape() {
@@ -539,67 +168,16 @@ mod tests {
         let b = preferential_attachment_churn(12, 6, 99);
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(a.vertex_count(), b.vertex_count());
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn engines_agree_on_a_tiny_pa_churn() {
-        let g = preferential_attachment_churn(4, 4, 1706);
-        let incremental = measure(&g, ProbeEngine::Incremental, 16, 60, 1);
-        let journal = measure(&g, ProbeEngine::Journal, 16, 60, 1);
-        let cloning = measure(&g, ProbeEngine::Cloning, 16, 60, 1);
-        assert_eq!(incremental.flow.to_bits(), journal.flow.to_bits());
-        assert_eq!(incremental.flow.to_bits(), cloning.flow.to_bits());
-        assert_eq!(incremental.selected, journal.selected);
-        assert_eq!(incremental.selected, cloning.selected);
+        assert_engines_agree(&preferential_attachment_churn(4, 4, 1706), 16);
     }
 
     #[test]
     fn engines_agree_on_a_tiny_chain() {
-        // A fast three-way differential run through the real measurement
-        // path: all engines must land on bit-identical selections.
-        let g = diamond_chain(3);
-        let incremental = measure(&g, ProbeEngine::Incremental, 12, 60, 1);
-        let journal = measure(&g, ProbeEngine::Journal, 12, 60, 1);
-        let cloning = measure(&g, ProbeEngine::Cloning, 12, 60, 1);
-        assert_eq!(incremental.flow.to_bits(), journal.flow.to_bits());
-        assert_eq!(incremental.flow.to_bits(), cloning.flow.to_bits());
-        assert_eq!(incremental.selected, journal.selected);
-        assert_eq!(incremental.selected, cloning.selected);
-        assert_eq!(incremental.name, "incremental_probes");
-    }
-
-    #[test]
-    fn bench6_snapshot_emits_valid_shape() {
-        let bench = IncrementalBench {
-            workloads: vec![IncrementalWorkload {
-                workload: "diamond_chain".into(),
-                graph: "diamond_chain(links=2)".into(),
-                budget: 8,
-                samples: 100,
-                rows: vec![],
-                speedup_incremental_vs_journal: 3.0,
-                speedup_incremental_vs_cloning: 9.0,
-            }],
-            min_speedup_incremental_vs_journal: 3.0,
-        };
-        let json = bench.to_json();
-        assert!(json.contains("\"bench\": \"incremental_churn\""));
-        assert!(json.contains("\"min_speedup_incremental_vs_journal\": 3.000"));
-        assert!(json.contains("\"speedup_incremental_vs_cloning\": 9.000"));
-    }
-
-    #[test]
-    fn snapshot_emits_valid_shape() {
-        // A tiny run: both engines agree and the JSON mentions both rows.
-        let bench = ChurnBench {
-            graph: "diamond_chain(links=2)".into(),
-            budget: 8,
-            samples: 100,
-            speedup_cloning_vs_journal: 2.5,
-            rows: vec![],
-        };
-        let json = bench.to_json();
-        assert!(json.contains("\"bench\": \"probe_churn\""));
-        assert!(json.contains("\"speedup_cloning_vs_journal\": 2.500"));
+        assert_engines_agree(&diamond_chain(3), 12);
     }
 }

@@ -17,6 +17,7 @@
 
 use flowmax::core::{greedy_select_observed, GreedyConfig, SelectionStep};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
+use flowmax_bench::probe_churn::{diamond_chain_weighted, preferential_attachment_churn};
 use proptest::prelude::*;
 
 /// A random small uncertain graph: a spanning tree over `n` vertices plus
@@ -180,91 +181,10 @@ proptest! {
     }
 }
 
-/// A chain of `links` diamonds `h_i → {a_i, b_i} → h_{i+1}` of near-certain
-/// edges, with `h_0 = Q` and hubs `h_{i+1}` of weight `tail`, plus one
-/// low-probability rung chord `a_i – a_{i+1}` per pair of links.
-///
-/// The selection grows a chain of small bi-connected components, and every
-/// open chord is a Case IV candidate across two of them, re-probed every
-/// iteration and never selected. With a heavy `tail` the greedy closes
-/// each diamond as soon as it opens it, so chord probes bridge completed
-/// components along an `O(links)`-deep block tree: structural churn at a
-/// size the random graphs above never reach.
-fn diamond_chain(links: usize, tail: f64) -> ProbabilisticGraph {
-    let mut b = GraphBuilder::new();
-    let diamond = Probability::new(0.99).unwrap();
-    let chord = Probability::new(0.05).unwrap();
-    let tail = Weight::new(tail).unwrap();
-    let mut hub = b.add_vertex(Weight::ONE);
-    let mut prev_a: Option<VertexId> = None;
-    for _ in 0..links {
-        let a = b.add_vertex(Weight::ONE);
-        let bb = b.add_vertex(Weight::ONE);
-        let next = b.add_vertex(tail);
-        b.add_edge(hub, a, diamond).unwrap();
-        b.add_edge(hub, bb, diamond).unwrap();
-        b.add_edge(a, next, diamond).unwrap();
-        b.add_edge(bb, next, diamond).unwrap();
-        if let Some(pa) = prev_a {
-            b.add_edge(pa, a, chord).unwrap();
-        }
-        prev_a = Some(a);
-        hub = next;
-    }
-    b.build()
-}
-
-/// `diamonds` diamond blocks `h → {a, b} → t` of near-certain edges, each
-/// anchored at a degree-weighted existing vertex (an endpoint of a
-/// uniformly chosen earlier block edge), so the block tree is
-/// preferential-attachment shaped: shallow and skewed. Every block carries
-/// its low-probability `a – b` diagonal, which after the block completes is
-/// an in-component (Case IIIa) candidate re-probed every iteration and
-/// never selected. Heavy tails (`t` weighs 200) make the greedy complete
-/// each block as soon as it opens it. Deterministic per `seed` (inline
-/// xorshift).
-fn preferential_diamonds(diamonds: usize, seed: u64) -> ProbabilisticGraph {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let rail = Probability::new(0.99).unwrap();
-    let chord = Probability::new(0.05).unwrap();
-    let tail = Weight::new(200.0).unwrap();
-    let mut b = GraphBuilder::new();
-    let q = b.add_vertex(Weight::ONE);
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    for _ in 0..diamonds {
-        let hub = if edges.is_empty() {
-            q
-        } else {
-            let (x, y) = edges[next() as usize % edges.len()];
-            if next() & 1 == 0 {
-                x
-            } else {
-                y
-            }
-        };
-        let a = b.add_vertex(Weight::ONE);
-        let bb = b.add_vertex(Weight::ONE);
-        let t = b.add_vertex(tail);
-        b.add_edge(hub, a, rail).unwrap();
-        b.add_edge(hub, bb, rail).unwrap();
-        b.add_edge(a, t, rail).unwrap();
-        b.add_edge(bb, t, rail).unwrap();
-        b.add_edge(a, bb, chord).unwrap();
-        edges.extend([(hub, a), (hub, bb), (a, t), (bb, t)]);
-    }
-    b.build()
-}
-
 #[test]
 fn engines_agree_on_the_diamond_chain() {
     let links = 60;
-    let g = diamond_chain(links, 200.0);
+    let g = diamond_chain_weighted(links, Weight::new(200.0).unwrap());
     assert_eq!(g.vertex_count(), 3 * links + 1);
     assert_eq!(g.edge_count(), 4 * links + links - 1);
     // The budget is exactly the diamond edges.
@@ -275,12 +195,12 @@ fn engines_agree_on_the_diamond_chain() {
 #[test]
 fn engines_agree_on_preferential_diamonds() {
     let diamonds = 60;
-    let g = preferential_diamonds(diamonds, 1706);
+    let g = preferential_attachment_churn(diamonds, diamonds, 1706);
     assert_eq!(g.vertex_count(), 3 * diamonds + 1);
     assert_eq!(g.edge_count(), 5 * diamonds);
     assert_eq!(
         g.fingerprint(),
-        preferential_diamonds(diamonds, 1706).fingerprint(),
+        preferential_attachment_churn(diamonds, diamonds, 1706).fingerprint(),
         "the workload is deterministic per seed"
     );
     let divergence = first_divergence(&g, &stacks(4 * diamonds, 200), 13);
