@@ -14,11 +14,19 @@
 //! estimate of the final selection) is pinned too, for one `FT+M+CI+DS`
 //! query per graph.
 //!
+//! The work ledger is pinned as well: all 13 `SelectionMetrics` counters
+//! of every pinned run (probes, memo hits, samples, commits by case, ...).
+//! Debug builds revalidate the engine after every commit, release builds
+//! do not, so in a release build these pins are the check that a change
+//! to how probes are scored or winners committed leaves the memo hits and
+//! the sampling work as they were.
+//!
 //! To print the table for new pins:
 //! `cargo test --release --test greedy_golden -- --ignored --nocapture`.
 
 use flowmax::core::{
-    greedy_select_observed, Algorithm, GreedyConfig, SelectionOutcome, SelectionStep, Session,
+    greedy_select_observed, Algorithm, GreedyConfig, SelectionMetrics, SelectionOutcome,
+    SelectionStep, Session,
 };
 use flowmax::datasets::{suggest_query, ErdosConfig, PreferentialConfig, WsnConfig};
 use flowmax::graph::ProbabilisticGraph;
@@ -192,6 +200,120 @@ fn greedy_selections_match_the_pins() {
     }
 }
 
+/// Every `SelectionMetrics` counter, `name=value`, space separated.
+fn ledger(m: &SelectionMetrics) -> String {
+    let SelectionMetrics {
+        probes,
+        analytic_probes,
+        components_sampled,
+        components_enumerated,
+        samples_drawn,
+        edge_samples_drawn,
+        memo_hits,
+        ci_pruned,
+        ds_skipped,
+        insert_case_ii,
+        insert_case_iiia,
+        insert_case_iiib,
+        insert_case_iv,
+    } = *m;
+    format!(
+        "probes={probes} analytic={analytic_probes} sampled={components_sampled} \
+         enumerated={components_enumerated} samples={samples_drawn} \
+         edge_samples={edge_samples_drawn} memo_hits={memo_hits} ci_pruned={ci_pruned} \
+         ds_skipped={ds_skipped} ii={insert_case_ii} iiia={insert_case_iiia} \
+         iiib={insert_case_iiib} iv={insert_case_iv}"
+    )
+}
+
+/// `(graph, variant, ledger)` of every pinned run, in `PINS` order.
+const METRICS_PINS: &[(&str, &str, &str)] = &[
+    (
+        "erdos",
+        "FT",
+        "probes=581 analytic=513 sampled=74 enumerated=0 samples=14800 edge_samples=110800 memo_hits=0 ci_pruned=0 ds_skipped=0 ii=24 iiia=1 iiib=1 iv=4",
+    ),
+    (
+        "erdos",
+        "FT+M",
+        "probes=375 analytic=321 sampled=11 enumerated=0 samples=2200 edge_samples=15600 memo_hits=46 ci_pruned=0 ds_skipped=0 ii=27 iiia=1 iiib=1 iv=1",
+    ),
+    (
+        "erdos",
+        "FT+M+CI",
+        "probes=414 analytic=331 sampled=35 enumerated=0 samples=4096 edge_samples=33472 memo_hits=51 ci_pruned=34 ds_skipped=0 ii=27 iiia=1 iiib=1 iv=1",
+    ),
+    (
+        "erdos",
+        "FT+M+DS",
+        "probes=341 analytic=327 sampled=12 enumerated=0 samples=2400 edge_samples=17400 memo_hits=5 ci_pruned=0 ds_skipped=45 ii=27 iiia=1 iiib=1 iv=1",
+    ),
+    (
+        "erdos",
+        "FT+M+CI+DS",
+        "probes=344 analytic=284 sampled=37 enumerated=0 samples=4160 edge_samples=33472 memo_hits=25 ci_pruned=24 ds_skipped=48 ii=28 iiia=0 iiib=1 iv=1",
+    ),
+    (
+        "preferential",
+        "FT",
+        "probes=848 analytic=800 sampled=53 enumerated=0 samples=10600 edge_samples=68600 memo_hits=0 ci_pruned=0 ds_skipped=0 ii=25 iiia=0 iiib=2 iv=3",
+    ),
+    (
+        "preferential",
+        "FT+M",
+        "probes=591 analytic=543 sampled=14 enumerated=0 samples=2800 edge_samples=22400 memo_hits=37 ci_pruned=0 ds_skipped=0 ii=27 iiia=0 iiib=2 iv=1",
+    ),
+    (
+        "preferential",
+        "FT+M+CI",
+        "probes=693 analytic=592 sampled=48 enumerated=0 samples=4544 edge_samples=37120 memo_hits=57 ci_pruned=24 ds_skipped=0 ii=26 iiia=0 iiib=1 iv=3",
+    ),
+    (
+        "preferential",
+        "FT+M+DS",
+        "probes=554 analytic=539 sampled=12 enumerated=0 samples=2400 edge_samples=18600 memo_hits=6 ci_pruned=0 ds_skipped=31 ii=27 iiia=0 iiib=2 iv=1",
+    ),
+    (
+        "preferential",
+        "FT+M+CI+DS",
+        "probes=529 analytic=461 sampled=38 enumerated=0 samples=4544 edge_samples=28288 memo_hits=33 ci_pruned=25 ds_skipped=33 ii=27 iiia=0 iiib=1 iv=2",
+    ),
+    (
+        "wsn",
+        "FT",
+        "probes=1818 analytic=1240 sampled=588 enumerated=0 samples=117600 edge_samples=1904600 memo_hits=0 ci_pruned=0 ds_skipped=0 ii=20 iiia=3 iiib=1 iv=6",
+    ),
+    (
+        "wsn",
+        "FT+M",
+        "probes=1564 analytic=729 sampled=205 enumerated=0 samples=41000 edge_samples=532400 memo_hits=635 ci_pruned=0 ds_skipped=0 ii=25 iiia=0 iiib=2 iv=3",
+    ),
+    (
+        "wsn",
+        "FT+M+CI",
+        "probes=1733 analytic=652 sampled=398 enumerated=0 samples=48128 edge_samples=557440 memo_hits=688 ci_pruned=437 ds_skipped=0 ii=25 iiia=0 iiib=2 iv=3",
+    ),
+    (
+        "wsn",
+        "FT+M+DS",
+        "probes=975 analytic=836 sampled=124 enumerated=0 samples=24800 edge_samples=288000 memo_hits=21 ci_pruned=0 ds_skipped=687 ii=24 iiia=0 iiib=2 iv=4",
+    ),
+    (
+        "wsn",
+        "FT+M+CI+DS",
+        "probes=1550 analytic=846 sampled=486 enumerated=0 samples=54848 edge_samples=695744 memo_hits=224 ci_pruned=261 ds_skipped=452 ii=24 iiia=0 iiib=2 iv=4",
+    ),
+];
+
+#[test]
+fn greedy_metrics_match_the_pins() {
+    assert_eq!(METRICS_PINS.len(), GRAPHS.len() * VARIANTS.len());
+    for &(graph_name, variant, pinned) in METRICS_PINS {
+        let got = ledger(&run(graph_name, variant).outcome.metrics);
+        assert_eq!(got, pinned, "{graph_name} {variant}: metrics");
+    }
+}
+
 /// `SolveRun::flow` of the session's `FT+M+CI+DS` query on `graph_name`.
 fn session_flow(graph_name: &str) -> f64 {
     let g = graph(graph_name);
@@ -258,5 +380,14 @@ fn print_pins() {
             "    ({graph_name:?}, 0x{:016x}),",
             session_flow(graph_name).to_bits()
         );
+    }
+    for graph_name in GRAPHS {
+        for variant in VARIANTS {
+            let got = run(graph_name, variant);
+            println!(
+                "    (\n        {graph_name:?},\n        {variant:?},\n        \"{}\",\n    ),",
+                ledger(&got.outcome.metrics)
+            );
+        }
     }
 }
