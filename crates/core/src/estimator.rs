@@ -87,16 +87,10 @@ impl SamplingProvider {
     /// Creates a provider with a deterministic seed stream and the
     /// [`default_threads`] worker count (`FLOWMAX_THREADS` or 1).
     pub fn new(config: EstimatorConfig, seed: u64) -> Self {
-        Self::with_threads(config, seed, default_threads())
-    }
-
-    /// Creates a provider with an explicit worker count and the ambient
-    /// `FLOWMAX_LANES` lane width.
-    pub fn with_threads(config: EstimatorConfig, seed: u64, threads: usize) -> Self {
         Self::with_parallelism(
             config,
             seed,
-            threads,
+            default_threads(),
             flowmax_sampling::default_lane_words(),
         )
     }
@@ -127,11 +121,6 @@ impl SamplingProvider {
     /// The worker count used for sampled components.
     pub fn threads(&self) -> usize {
         self.engine.threads()
-    }
-
-    /// Adjusts the Monte-Carlo sample budget of later estimates.
-    pub fn set_samples(&mut self, samples: u32) {
-        self.config.samples = samples;
     }
 }
 
@@ -203,8 +192,12 @@ mod tests {
     fn provider_is_thread_count_invariant() {
         let snap = triangle_snapshot();
         let run = |threads| {
-            let mut p =
-                SamplingProvider::with_threads(EstimatorConfig::monte_carlo(300), 5, threads);
+            let mut p = SamplingProvider::with_parallelism(
+                EstimatorConfig::monte_carlo(300),
+                5,
+                threads,
+                flowmax_sampling::default_lane_words(),
+            );
             // Two calls: per-call child seeds must line up across runs too.
             (p.estimate(&snap), p.estimate(&snap))
         };

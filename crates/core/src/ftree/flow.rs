@@ -28,7 +28,7 @@
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use flowmax_sampling::{ComponentEstimate, ComponentGraph};
 
-use super::{CommitReplay, ComponentId, FTree, InsertCase, Journal, Kind};
+use super::{ComponentId, FTree, InsertCase, Journal, Kind};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -409,25 +409,7 @@ impl SampledProbe {
         alpha: f64,
         estimate: ComponentEstimate,
     ) -> ProbeOutcome {
-        self.score_keeping(tree, graph, include_query, alpha, estimate)
-            .0
-    }
-
-    /// [`score`](Self::score), additionally capturing a [`CommitReplay`]
-    /// when the tree's incremental flow cache is enabled and the probe is a
-    /// structural one: the rollback records the applied state's images on
-    /// the way out, so the selection loop can commit this candidate later
-    /// by replaying the recorded mutations instead of re-running the
-    /// insertion.
-    pub(crate) fn score_keeping(
-        &mut self,
-        tree: &mut FTree,
-        graph: &ProbabilisticGraph,
-        include_query: bool,
-        alpha: f64,
-        estimate: ComponentEstimate,
-    ) -> (ProbeOutcome, Option<CommitReplay>) {
-        match &mut self.kind {
+        match &self.kind {
             SampledKind::InBi { cid } => {
                 let (flow, lower, upper) = if tree.flow_cache_enabled() {
                     tree.flow_with_override_bounds_cached(
@@ -448,16 +430,13 @@ impl SampledProbe {
                         alpha,
                     )
                 };
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: InsertCase::CycleInBi,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    None,
-                )
+                ProbeOutcome {
+                    flow,
+                    lower,
+                    upper,
+                    case: InsertCase::CycleInBi,
+                    sampling_cost_edges: self.cost_edges,
+                }
             }
             SampledKind::Structural { edge, case } => {
                 // Apply → evaluate → rollback on the shared tree. The
@@ -477,22 +456,14 @@ impl SampledProbe {
                 } else {
                     tree.flow_with_bounds(graph, include_query, cid, alpha)
                 };
-                let replay = if tree.flow_cache_enabled() {
-                    Some(tree.rollback_capturing(journal, cid))
-                } else {
-                    tree.rollback(journal);
-                    None
-                };
-                (
-                    ProbeOutcome {
-                        flow,
-                        lower,
-                        upper,
-                        case: *case,
-                        sampling_cost_edges: self.cost_edges,
-                    },
-                    replay,
-                )
+                tree.rollback(journal);
+                ProbeOutcome {
+                    flow,
+                    lower,
+                    upper,
+                    case: *case,
+                    sampling_cost_edges: self.cost_edges,
+                }
             }
         }
     }
@@ -987,25 +958,6 @@ impl FTree {
         alpha: f64,
         provider: &mut dyn EstimateProvider,
     ) -> Result<ProbeOutcome, CoreError> {
-        self.probe_edge_keeping(graph, e, base_flow, include_query, alpha, provider)
-            .map(|(outcome, _replay)| outcome)
-    }
-
-    /// [`probe_edge`](FTree::probe_edge), additionally capturing a
-    /// [`CommitReplay`] when the incremental flow cache is enabled and the
-    /// probe is structural: the selection loop can then commit the winning
-    /// candidate by replaying its probe's recorded mutations instead of
-    /// re-running the insertion.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn probe_edge_keeping(
-        &mut self,
-        graph: &ProbabilisticGraph,
-        e: EdgeId,
-        base_flow: f64,
-        include_query: bool,
-        alpha: f64,
-        provider: &mut dyn EstimateProvider,
-    ) -> Result<(ProbeOutcome, Option<CommitReplay>), CoreError> {
         if matches!(self.classify_candidate(graph, e)?, ProbeClass::Structural) {
             // Fused structural probe: apply once, estimate the new
             // component's own snapshot in place, score, roll back — no
@@ -1028,28 +980,20 @@ impl FTree {
             } else {
                 self.flow_with_bounds(graph, include_query, cid, alpha)
             };
-            let replay = if self.flow_cache_enabled() {
-                Some(self.rollback_capturing(journal, cid))
-            } else {
-                self.rollback(journal);
-                None
-            };
-            return Ok((
-                ProbeOutcome {
-                    flow,
-                    lower,
-                    upper,
-                    case: report.case,
-                    sampling_cost_edges: report.sampled_edge_count,
-                },
-                replay,
-            ));
+            self.rollback(journal);
+            return Ok(ProbeOutcome {
+                flow,
+                lower,
+                upper,
+                case: report.case,
+                sampling_cost_edges: report.sampled_edge_count,
+            });
         }
         match self.probe_plan(graph, e, base_flow)? {
-            ProbePlan::Analytic(outcome) => Ok((outcome, None)),
+            ProbePlan::Analytic(outcome) => Ok(outcome),
             ProbePlan::Sampled(mut sampled) => {
                 let estimate = provider.estimate(sampled.snapshot());
-                Ok(sampled.score_keeping(self, graph, include_query, alpha, estimate))
+                Ok(sampled.score(self, graph, include_query, alpha, estimate))
             }
         }
     }
@@ -1308,18 +1252,6 @@ mod tests {
         }
         println!(
             "incremental fused probe  : {:8.2} us",
-            t.elapsed().as_secs_f64() * 1e6 / reps as f64
-        );
-
-        let t = Instant::now();
-        for i in 0..reps {
-            let e = chords[i % chords.len()];
-            let (_r, j) = tree.apply(&g, e, &mut provider).unwrap();
-            let cid = _r.component.unwrap();
-            let _ = tree.rollback_capturing(j, cid);
-        }
-        println!(
-            "apply+memo+capture       : {:8.2} us",
             t.elapsed().as_secs_f64() * 1e6 / reps as f64
         );
     }

@@ -281,8 +281,6 @@ impl FTree {
         provider: &mut dyn EstimateProvider,
         case: InsertCase,
     ) -> InsertReport {
-        #[cfg(debug_assertions)]
-        FTree::note_structural_insert();
         let ca = self.owner(a);
         let cb = self.owner(b);
         let lca = self.lca_component(ca, cb);

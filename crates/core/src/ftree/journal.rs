@@ -18,9 +18,9 @@
 //!
 //! Cost is proportional to the components the insertion actually touches —
 //! for typical probes a handful of slots — instead of the whole tree.
-//! Dropping a journal commits the applied insertion (nothing to undo), so
-//! a selection loop can keep the winning candidate's insertion without
-//! re-running it.
+//! Dropping a journal commits the applied insertion (nothing to undo):
+//! the selection loop commits every winner that way, after handing the
+//! journal's touched slots to the flow cache.
 //!
 //! Recording hooks live on the low-level mutators ([`FTree::comp_mut`],
 //! `alloc`, `dealloc`, `set_assignment`, `take_component`), so every
@@ -28,9 +28,8 @@
 //! journalled without case-specific code.
 
 use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
-use flowmax_sampling::ComponentGraph;
 
-use super::{Component, ComponentId, FTree, InsertReport, Kind};
+use super::{Component, ComponentId, FTree, InsertReport};
 use crate::error::CoreError;
 use crate::estimator::EstimateProvider;
 
@@ -73,61 +72,6 @@ impl Journal {
     /// seed set for `O(touched)` incremental flow evaluation.
     pub(crate) fn touched_slot_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.slots.iter().map(|&(s, _)| s)
-    }
-}
-
-/// The *redo* record of one probed insertion: the post-apply images
-/// [`FTree::rollback_capturing`] collects on the way out. The selection
-/// loop commits a winning structural candidate by handing this back to
-/// [`FTree::commit_replay`], which re-applies the recorded mutations —
-/// estimates included — without re-running `insert_edge` (and therefore
-/// without re-estimating or re-sampling anything).
-///
-/// A replay is only valid on the exact tree state it was captured from;
-/// `commit_replay` debug-asserts the version counter and arena length to
-/// catch misuse.
-#[derive(Debug)]
-pub(crate) struct CommitReplay {
-    /// The candidate edge the probe applied.
-    edge: EdgeId,
-    /// The bi component the insertion formed.
-    component: ComponentId,
-    /// Tree state fingerprints at capture time (pre-apply side).
-    pre_version_counter: u64,
-    pre_arena_len: usize,
-    /// Post-apply images: arena length, free list, roots, version counter,
-    /// touched slots and vertex assignments as the applied tree had them.
-    arena_len: usize,
-    free: Vec<u32>,
-    roots: Vec<ComponentId>,
-    version_counter: u64,
-    slots: Vec<(u32, Option<Component>)>,
-    assignments: Vec<(VertexId, Option<ComponentId>)>,
-}
-
-impl CommitReplay {
-    /// The edge the replay would insert.
-    pub(crate) fn edge(&self) -> EdgeId {
-        self.edge
-    }
-
-    /// The component snapshot of the bi component the insertion forms, as
-    /// it will exist after the replay. A memoized estimate for this
-    /// snapshot is what licenses a replay-based commit (the reference
-    /// engine's re-insertion would hit the memo rather than sample).
-    pub(crate) fn snapshot(&self) -> &ComponentGraph {
-        let (_, post) = self
-            .slots
-            .iter()
-            .find(|&&(s, _)| s == self.component.0)
-            .expect("replay records the formed component's slot");
-        let comp = post
-            .as_ref()
-            .expect("the formed component is live in the post-image");
-        let Kind::Bi { snapshot, .. } = &comp.kind else {
-            panic!("structural insertions form a bi component")
-        };
-        snapshot
     }
 }
 
@@ -237,116 +181,6 @@ impl FTree {
         self.version_counter = journal.version_counter;
     }
 
-    /// [`rollback`](FTree::rollback) that captures the applied state's
-    /// images on the way out, as a [`CommitReplay`] for `component` (the bi
-    /// component the insertion formed). Restoration is bit-identical to a
-    /// plain rollback; the only extra cost is moving the post-images out of
-    /// the arena instead of overwriting them.
-    pub(crate) fn rollback_capturing(
-        &mut self,
-        journal: Journal,
-        component: ComponentId,
-    ) -> CommitReplay {
-        debug_assert!(self.recorder.is_none(), "cannot rollback mid-apply");
-        let removed = self.selected.remove(journal.edge);
-        debug_assert!(removed, "journalled edge must still be selected");
-        let Journal {
-            edge,
-            arena_len,
-            free,
-            roots,
-            version_counter,
-            slots,
-            assignments,
-        } = journal;
-        let post_arena_len = self.arena.len();
-        let post_free = std::mem::replace(&mut self.free, free);
-        let post_roots = std::mem::replace(&mut self.roots, roots);
-        let post_version_counter = self.version_counter;
-        self.version_counter = version_counter;
-        // Post-assignment of a vertex = its current value, recorded once
-        // (the journal may hold several writes for one vertex).
-        let mut post_assignments: Vec<(VertexId, Option<ComponentId>)> =
-            Vec::with_capacity(assignments.len());
-        for &(v, _) in &assignments {
-            if !post_assignments.iter().any(|&(pv, _)| pv == v) {
-                post_assignments.push((v, self.assignment[v.index()]));
-            }
-        }
-        for (v, owner) in assignments.into_iter().rev() {
-            self.assignment[v.index()] = owner;
-        }
-        let mut post_slots: Vec<(u32, Option<Component>)> = Vec::with_capacity(slots.len());
-        for (slot, saved) in slots {
-            let idx = slot as usize;
-            let post = if idx < arena_len {
-                std::mem::replace(&mut self.arena[idx], saved)
-            } else {
-                self.arena[idx].take()
-            };
-            post_slots.push((slot, post));
-        }
-        self.arena.truncate(arena_len);
-        CommitReplay {
-            edge,
-            component,
-            pre_version_counter: version_counter,
-            pre_arena_len: arena_len,
-            arena_len: post_arena_len,
-            free: post_free,
-            roots: post_roots,
-            version_counter: post_version_counter,
-            slots: post_slots,
-            assignments: post_assignments,
-        }
-    }
-
-    /// Commits a probed insertion by re-applying its captured post-images —
-    /// the `O(touched)` commit path of the incremental engine. The tree
-    /// ends bit-identical to re-running `insert_edge` with the same
-    /// estimates, but nothing is re-classified, re-built or re-sampled; the
-    /// touched slots are queued on the flow cache for the next drain.
-    pub(crate) fn commit_replay(&mut self, replay: CommitReplay) {
-        debug_assert!(self.recorder.is_none(), "cannot commit mid-apply");
-        debug_assert_eq!(
-            self.version_counter, replay.pre_version_counter,
-            "replay requires the exact tree it was captured from"
-        );
-        debug_assert_eq!(
-            self.arena.len(),
-            replay.pre_arena_len,
-            "replay requires the exact tree it was captured from"
-        );
-        let CommitReplay {
-            edge,
-            component: _,
-            pre_version_counter: _,
-            pre_arena_len: _,
-            arena_len,
-            free,
-            roots,
-            version_counter,
-            slots,
-            assignments,
-        } = replay;
-        if self.arena.len() < arena_len {
-            self.arena.resize_with(arena_len, || None);
-        }
-        let touched: Vec<u32> = slots.iter().map(|&(s, _)| s).collect();
-        for (slot, post) in slots {
-            self.arena[slot as usize] = post;
-        }
-        for (v, owner) in assignments {
-            self.assignment[v.index()] = owner;
-        }
-        self.free = free;
-        self.roots = roots;
-        self.version_counter = version_counter;
-        let inserted = self.selected.insert(edge);
-        debug_assert!(inserted, "replayed edge must not already be selected");
-        self.cache_mark_dirty(touched);
-    }
-
     /// Records the first-touch snapshot of `slot` if an apply is running.
     /// Every mutation of an existing component must pass through here (the
     /// [`FTree::comp_mut`] accessor does it for all of them).
@@ -398,7 +232,6 @@ impl FTree {
 mod tests {
     use super::*;
     use crate::estimator::{EstimatorConfig, SamplingProvider};
-    use crate::ftree::InsertCase;
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
     fn provider() -> SamplingProvider {
@@ -498,52 +331,5 @@ mod tests {
         tree.insert_edge(&g, EdgeId(2), &mut pr).unwrap();
         reference.insert_edge(&g, EdgeId(2), &mut pr).unwrap();
         assert_eq!(tree, reference, "probe must not perturb the commit");
-    }
-
-    /// The replay-commit golden: walking the Fig. 3 graph, every structural
-    /// insertion is committed by **replaying its probe's captured journal**
-    /// (apply → `rollback_capturing` → `commit_replay`) and must leave the
-    /// tree `PartialEq`-identical to a reference built by `insert_edge` —
-    /// including arena layout, free-list order, version counters and the
-    /// cached estimates the rollback re-captured.
-    #[test]
-    fn commit_replay_equals_insert_edge_built_tree() {
-        let g = crate::ftree::goldens::figure3_graph();
-        let mut pr = provider();
-        let mut replayed = FTree::new(&g, VertexId(0));
-        let mut reference = FTree::new(&g, VertexId(0));
-        let mut structural_commits = 0usize;
-        for e in 0..19u32 {
-            let e = EdgeId(e);
-            let (report, journal) = replayed.apply(&g, e, &mut pr).unwrap();
-            let structural = matches!(
-                report.case,
-                InsertCase::CycleInMono | InsertCase::CycleAcross
-            );
-            if structural {
-                // The probe path: capture the journal's post-image while
-                // rolling back, then commit by writing it back.
-                let cid = report.component.expect("structural cases touch a bi");
-                let replay = replayed.rollback_capturing(journal, cid);
-                assert_eq!(replay.edge(), e);
-                assert!(replay.snapshot().edge_count() > 0);
-                replayed.commit_replay(replay);
-                structural_commits += 1;
-            } else {
-                // Leaf/in-bi commits keep the applied journal directly.
-                drop(journal);
-            }
-            reference.insert_edge(&g, e, &mut pr).unwrap();
-            assert_eq!(replayed, reference, "trees diverged after {e:?}");
-            replayed.validate(&g).unwrap();
-            assert_eq!(
-                replayed.expected_flow(&g, false).to_bits(),
-                reference.expected_flow(&g, false).to_bits()
-            );
-        }
-        assert!(
-            structural_commits >= 2,
-            "the figure 3 walk must exercise replay commits"
-        );
     }
 }

@@ -28,7 +28,6 @@ mod validate;
 
 pub use flow::{ProbeOutcome, ProbePlan, SampledProbe};
 pub use insert::{InsertCase, InsertReport};
-pub(crate) use journal::CommitReplay;
 pub use journal::Journal;
 
 use std::collections::BTreeMap;
@@ -329,11 +328,6 @@ thread_local! {
     /// this by zero: probes and commits must aggregate `O(touched)` through
     /// the flow cache, never re-walk the whole tree.
     static FULL_FLOW_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// Structural (case IIIb/IV) insertion executions by this thread. A
-    /// replay-based commit re-applies recorded mutations and must not show
-    /// up here — the incremental loop asserts memoized structural winners
-    /// leave this counter untouched across the commit.
-    static STRUCTURAL_INSERTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Clone for FTree {
@@ -422,21 +416,6 @@ impl FTree {
     #[cfg(debug_assertions)]
     pub(crate) fn note_full_flow_eval() {
         FULL_FLOW_EVALS.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Number of structural (case IIIb/IV) insertion executions this
-    /// thread has performed (debug builds only; probes count too). The
-    /// incremental loop asserts a memoized structural commit leaves this
-    /// untouched — the winner is committed by replaying its probe's
-    /// recorded mutations, never by re-running `insert_edge`.
-    #[cfg(debug_assertions)]
-    pub fn debug_structural_insert_count() -> u64 {
-        STRUCTURAL_INSERTS.with(|c| c.get())
-    }
-
-    #[cfg(debug_assertions)]
-    pub(crate) fn note_structural_insert() {
-        STRUCTURAL_INSERTS.with(|c| c.set(c.get() + 1));
     }
 
     /// The query vertex `Q`.

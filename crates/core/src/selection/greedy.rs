@@ -25,7 +25,7 @@ use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 
 use crate::cancel::{RunControl, StopCause};
 use crate::estimator::{EstimatorConfig, SamplingProvider};
-use crate::ftree::{CommitReplay, FTree, InsertCase, ProbeOutcome};
+use crate::ftree::{FTree, InsertCase, ProbeOutcome};
 use crate::metrics::SelectionMetrics;
 use crate::selection::candidates::CandidateSet;
 use crate::selection::delayed::DelayTracker;
@@ -65,11 +65,12 @@ pub struct GreedyConfig {
     /// see `flowmax_sampling::ParallelEstimator::with_lane_words`).
     pub lane_words: usize,
     /// Drive iterations through the incremental engine (the default):
-    /// `O(touched)` flow aggregation through the F-tree flow cache, and —
-    /// under memoization — commit-by-replay for structural winners instead
-    /// of a re-run insertion. `false` selects the journal reference engine
-    /// that re-aggregates the whole forest per evaluation, kept for the
-    /// differential tests; results are bit-identical either way.
+    /// `O(touched)` flow aggregation through the F-tree flow cache, with
+    /// every winner committed by a journalled apply whose touched slots
+    /// mark the cache dirty. `false` selects the journal reference engine,
+    /// which commits by plain insertion and re-aggregates the whole forest
+    /// per evaluation, kept for the differential tests; results are
+    /// bit-identical either way.
     pub incremental: bool,
 }
 
@@ -155,10 +156,6 @@ pub struct SelectionOutcome {
 pub(crate) struct ProbeRecord {
     pub(crate) edge: EdgeId,
     pub(crate) outcome: ProbeOutcome,
-    /// The probe's captured redo images (incremental engine, structural
-    /// journal probes only) — the winning record's replay commits the
-    /// insertion without re-running it.
-    pub(crate) replay: Option<CommitReplay>,
 }
 
 /// Runs the greedy selection (§6.1) over `graph` from `query`.
@@ -253,7 +250,7 @@ pub fn greedy_select_controlled(
         let clones_before = FTree::debug_clone_count();
         #[cfg(debug_assertions)]
         let full_evals_before = FTree::debug_full_flow_eval_count();
-        let mut records = if let Some(racer) = racer.as_mut() {
+        let records = if let Some(racer) = racer.as_mut() {
             racer.probe_candidates(
                 graph,
                 &mut tree,
@@ -288,43 +285,23 @@ pub fn greedy_select_controlled(
         let best_case = records[best_idx].outcome.case;
 
         // Commit. With memoization the insertion reuses the winning probe's
-        // estimate; otherwise it re-samples (the paper's plain FT). The
-        // incremental engine commits a memoized structural winner by
-        // replaying its probe's recorded mutations — zero re-insertion work
-        // — gated on the memo still holding the formed component's estimate
-        // (it always does: the probe published it), so the metrics come out
-        // identical to the reference engine's memo-hit re-insertion.
-        // Everything else commits through the journalled apply, which hands
-        // the touched slots to the flow cache.
-        #[cfg(debug_assertions)]
-        let structural_inserts_before = FTree::debug_structural_insert_count();
-        let mut replay_slot = records[best_idx].replay.take();
-        let mut committed_by_replay = false;
-        if incremental && config.memoize {
-            if let Some(replay) = replay_slot.as_ref() {
-                debug_assert_eq!(replay.edge(), best_edge);
-                if provider.lookup(replay.snapshot()).is_some() {
-                    tree.commit_replay(replay_slot.take().expect("presence just checked"));
-                    committed_by_replay = true;
-                }
-            }
-        }
-        if !committed_by_replay {
-            if incremental {
-                let (report, journal) = tree
-                    .apply(graph, best_edge, &mut provider)
-                    .expect("candidate edges are insertable");
-                debug_assert_eq!(report.case, best_case);
-                let touched: Vec<u32> = journal.touched_slot_ids().collect();
-                // Dropping the journal keeps the insertion.
-                drop(journal);
-                tree.cache_mark_dirty(touched);
-            } else {
-                let report = tree
-                    .insert_edge(graph, best_edge, &mut provider)
-                    .expect("candidate edges are insertable");
-                debug_assert_eq!(report.case, best_case);
-            }
+        // estimate from the memo; otherwise it re-samples (the paper's plain
+        // FT). The incremental engine commits through the journalled apply,
+        // which hands the touched slots to the flow cache.
+        if incremental {
+            let (report, journal) = tree
+                .apply(graph, best_edge, &mut provider)
+                .expect("candidate edges are insertable");
+            debug_assert_eq!(report.case, best_case);
+            let touched: Vec<u32> = journal.touched_slot_ids().collect();
+            // Dropping the journal keeps the insertion.
+            drop(journal);
+            tree.cache_mark_dirty(touched);
+        } else {
+            let report = tree
+                .insert_edge(graph, best_edge, &mut provider)
+                .expect("candidate edges are insertable");
+            debug_assert_eq!(report.case, best_case);
         }
         match best_case {
             InsertCase::LeafMono | InsertCase::LeafBi => metrics.insert_case_ii += 1,
@@ -357,8 +334,7 @@ pub fn greedy_select_controlled(
         // phase, extended to the incremental state): the candidate groups
         // and every cached leaf Δ must match a from-scratch recomputation
         // bit for bit; under the incremental engine the whole iteration
-        // must also have run zero whole-forest traversals and — for
-        // memoized structural winners — zero re-insertions, and the cached
+        // must also have run zero whole-forest traversals, and the cached
         // base flow must match the whole-forest reference.
         #[cfg(debug_assertions)]
         candidates.debug_validate(graph, &tree);
@@ -369,15 +345,6 @@ pub fn greedy_select_controlled(
                 full_evals_before,
                 "incremental iterations must never fall back to whole-forest flow evaluation"
             );
-            if config.memoize
-                && matches!(best_case, InsertCase::CycleInMono | InsertCase::CycleAcross)
-            {
-                assert_eq!(
-                    FTree::debug_structural_insert_count(),
-                    structural_inserts_before,
-                    "memoized structural winners must commit by replay, not re-insertion"
-                );
-            }
             assert_eq!(
                 base_flow.to_bits(),
                 tree.expected_flow(graph, config.include_query).to_bits(),
@@ -448,8 +415,8 @@ fn best_record(records: &[ProbeRecord]) -> Option<usize> {
 }
 
 /// Plain probing: every pool edge probed once at the full sample budget.
-/// Each probe is one journalled apply on the shared tree (capturing the
-/// redo images when the incremental flow cache is enabled).
+/// Each structural probe is one journalled apply and rollback on the shared
+/// tree.
 fn probe_all(
     graph: &ProbabilisticGraph,
     tree: &mut FTree,
@@ -461,8 +428,8 @@ fn probe_all(
 ) -> Vec<ProbeRecord> {
     let mut records = Vec::with_capacity(pool.len());
     for &e in pool {
-        let (outcome, replay) = tree
-            .probe_edge_keeping(
+        let outcome = tree
+            .probe_edge(
                 graph,
                 e,
                 base_flow,
@@ -475,11 +442,7 @@ fn probe_all(
         if outcome.sampling_cost_edges == 0 {
             metrics.analytic_probes += 1;
         }
-        records.push(ProbeRecord {
-            edge: e,
-            outcome,
-            replay,
-        });
+        records.push(ProbeRecord { edge: e, outcome });
     }
     records
 }

@@ -2,8 +2,9 @@
 //!
 //! During each greedy iteration many candidate probes (re-)estimate
 //! bi-connected components. [`MemoProvider`] caches estimates keyed by the
-//! component's identity — articulation vertex + exact edge set (+ the sample
-//! budget, so estimates at different budgets do not alias).
+//! component's identity — articulation vertex + exact edge set. The sample
+//! budget and the exact-enumeration cap are fixed for a provider's life, so
+//! they need no place in the key.
 //! If a component re-forms unchanged in a later probe or insertion, the
 //! cached reachability function is reused and no sampling happens. Staleness
 //! is automatic: any change to the component changes its edge set and
@@ -11,9 +12,9 @@
 
 use std::collections::HashMap;
 
-use flowmax_sampling::{splitmix64, ComponentEstimate, ComponentGraph};
+use flowmax_sampling::{ComponentEstimate, ComponentGraph};
 
-use crate::estimator::{EstimateProvider, EstimatorConfig, SamplingProvider};
+use crate::estimator::{EstimateProvider, SamplingProvider};
 
 /// A memoizing wrapper around [`SamplingProvider`].
 #[derive(Debug)]
@@ -45,12 +46,6 @@ impl MemoProvider {
         &self.inner
     }
 
-    /// Mutable access to the wrapped provider (e.g. to adjust its sample
-    /// budget).
-    pub fn inner_mut(&mut self) -> &mut SamplingProvider {
-        &mut self.inner
-    }
-
     /// Drops all cached estimates.
     pub fn clear(&mut self) {
         self.cache.clear();
@@ -61,19 +56,9 @@ impl MemoProvider {
         self.cache.len()
     }
 
-    fn fingerprint(&self, snapshot: &ComponentGraph) -> u64 {
-        // The sample budget is part of the key so that a low-budget
-        // estimate is never served where a full-budget one is expected.
-        // (Estimates *stored* under a key may carry more samples than the
-        // key's budget — see [`MemoProvider::store`] — never fewer.)
-        let cfg: EstimatorConfig = self.inner.config();
-        let h = splitmix64(snapshot.fingerprint() ^ cfg.samples as u64);
-        splitmix64(h ^ cfg.exact_edge_cap as u64)
-    }
-
     /// Publishes an externally computed estimate into the cache under the
-    /// current configuration's key, so later probes and insertions of the
-    /// same component reuse it without sampling. The racing engine stores
+    /// component's key, so later probes and insertions of the same
+    /// component reuse it without sampling. The racing engine stores
     /// its finalists here: their estimates hold *at least* the configured
     /// budget (racing budgets are whole-batch quantized and may be
     /// reallocation-boosted), so serving them where a full-budget estimate
@@ -84,29 +69,7 @@ impl MemoProvider {
         if !self.enabled {
             return;
         }
-        let key = self.fingerprint(snapshot);
-        self.cache.insert(key, estimate);
-    }
-
-    /// Serves a cached estimate for `snapshot` if one exists, counting a
-    /// hit exactly like [`estimate`](EstimateProvider::estimate) would —
-    /// this is what licenses a replay-based commit: when the lookup hits,
-    /// the reference engine's re-insertion would have been served the same
-    /// cached estimate, so replaying the probe's recorded mutations is
-    /// bit-identical *including* the metrics. A miss counts nothing (the
-    /// caller falls back to a real insertion, whose estimate call records
-    /// the miss). Always `None` when memoization is disabled.
-    pub(crate) fn lookup(&mut self, snapshot: &ComponentGraph) -> Option<&ComponentEstimate> {
-        if !self.enabled {
-            return None;
-        }
-        let key = self.fingerprint(snapshot);
-        if self.cache.contains_key(&key) {
-            self.hits += 1;
-            self.inner.metrics.memo_hits += 1;
-            return self.cache.get(&key);
-        }
-        None
+        self.cache.insert(snapshot.fingerprint(), estimate);
     }
 }
 
@@ -115,7 +78,7 @@ impl EstimateProvider for MemoProvider {
         if !self.enabled {
             return self.inner.estimate(snapshot);
         }
-        let key = self.fingerprint(snapshot);
+        let key = snapshot.fingerprint();
         if let Some(cached) = self.cache.get(&key) {
             self.hits += 1;
             self.inner.metrics.memo_hits += 1;
@@ -131,6 +94,7 @@ impl EstimateProvider for MemoProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::EstimatorConfig;
     use flowmax_graph::{EdgeId, GraphBuilder, Probability, VertexId, Weight};
 
     fn snapshot(extra_edge: bool) -> ComponentGraph {
@@ -177,16 +141,6 @@ mod tests {
         assert_eq!(memo.hits, 0);
         assert_eq!(memo.misses, 2);
         assert_eq!(memo.cached_components(), 2);
-    }
-
-    #[test]
-    fn different_sample_budgets_do_not_alias() {
-        let inner = SamplingProvider::new(EstimatorConfig::monte_carlo(100), 1);
-        let mut memo = MemoProvider::new(inner, true);
-        memo.estimate(&snapshot(false));
-        memo.inner_mut().set_samples(400);
-        memo.estimate(&snapshot(false));
-        assert_eq!(memo.hits, 0, "different budgets must be distinct keys");
     }
 
     #[test]

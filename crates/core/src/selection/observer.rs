@@ -47,11 +47,12 @@ pub struct SelectionStep {
     /// Candidate probes skipped because the edge was suspended by delayed
     /// sampling (§6.4) this iteration.
     pub ds_skipped: u64,
-    /// Component estimates served from the §6.2 memo this iteration
-    /// (probe-time cache hits plus racing streams resumed from cache).
-    /// Part of the cross-engine determinism contract: the incremental
-    /// engine's replay commits must reproduce the reference engine's hit
-    /// sequence exactly.
+    /// Component estimates served from the §6.2 memo this iteration:
+    /// probe-time cache hits, racing streams resumed from cache, and the
+    /// commit's re-insertion of a winner whose component estimate is
+    /// memoized. Part of the cross-engine determinism contract: both
+    /// engines commit by re-inserting through the memo, so their hit
+    /// sequences must match exactly.
     pub memo_hits: u64,
 }
 

@@ -31,7 +31,7 @@ use flowmax_sampling::{
 };
 
 use crate::estimator::EstimateProvider;
-use crate::ftree::{CommitReplay, FTree, ProbeOutcome, ProbePlan, SampledProbe};
+use crate::ftree::{FTree, ProbeOutcome, ProbePlan, SampledProbe};
 use crate::metrics::SelectionMetrics;
 use crate::selection::greedy::{GreedyConfig, ProbeRecord};
 use crate::selection::memo::MemoProvider;
@@ -99,11 +99,7 @@ impl RaceDriver {
                 ProbePlan::Analytic(outcome) => {
                     metrics.probes += 1;
                     metrics.analytic_probes += 1;
-                    records.push(ProbeRecord {
-                        edge: e,
-                        outcome,
-                        replay: None,
-                    });
+                    records.push(ProbeRecord { edge: e, outcome });
                 }
                 ProbePlan::Sampled(mut plan) => {
                     let snapshot = plan.snapshot();
@@ -115,18 +111,9 @@ impl RaceDriver {
                         // never perturb later sampled estimates).
                         let exact = memo.estimate(plan.snapshot());
                         metrics.probes += 1;
-                        let (outcome, replay) = plan.score_keeping(
-                            tree,
-                            graph,
-                            config.include_query,
-                            config.alpha,
-                            exact,
-                        );
-                        records.push(ProbeRecord {
-                            edge: e,
-                            outcome,
-                            replay,
-                        });
+                        let outcome =
+                            plan.score(tree, graph, config.include_query, config.alpha, exact);
+                        records.push(ProbeRecord { edge: e, outcome });
                         continue;
                     }
                     let key = snapshot.fingerprint();
@@ -148,13 +135,6 @@ impl RaceDriver {
             external_lower,
         );
         let mut outcomes: Vec<Option<ProbeOutcome>> = vec![None; racers.len()];
-        // Redo images captured by each racer's latest actual score. Rounds
-        // that reuse a previous outcome (cached stream already at target)
-        // keep the earlier replay: the lane's estimate is a pure function
-        // of its drawn worlds, so the captured post-images still match what
-        // the final round would produce.
-        let mut replays: Vec<Option<CommitReplay>> = Vec::with_capacity(racers.len());
-        replays.resize_with(racers.len(), || None);
         let mut scored_at: Vec<u32> = vec![0; racers.len()];
         while let Some(round) = race.next_round() {
             // Check out the round's lanes (creating missing ones on their
@@ -202,7 +182,7 @@ impl RaceDriver {
                 let outcome = match outcomes[i] {
                     Some(outcome) if scored_at[i] == lane.drawn() => outcome,
                     _ => {
-                        let (outcome, replay) = racers[i].plan.score_keeping(
+                        let outcome = racers[i].plan.score(
                             tree,
                             graph,
                             config.include_query,
@@ -212,7 +192,6 @@ impl RaceDriver {
                         metrics.probes += 1;
                         scored_at[i] = lane.drawn();
                         outcomes[i] = Some(outcome);
-                        replays[i] = replay;
                         outcome
                     }
                 };
@@ -238,7 +217,6 @@ impl RaceDriver {
             records.push(ProbeRecord {
                 edge: racer.edge,
                 outcome,
-                replay: replays[i].take(),
             });
         }
         records

@@ -246,14 +246,6 @@ impl<'g> Session<'g> {
         self
     }
 
-    /// Sets the shared high-fidelity estimator used to evaluate every
-    /// final selection (and [`SolveRun::flow_at`] prefixes) uniformly
-    /// across algorithms.
-    pub fn with_evaluation(mut self, evaluation: EstimatorConfig) -> Self {
-        self.evaluation = evaluation;
-        self
-    }
-
     /// The graph this session serves.
     pub fn graph(&self) -> &'g ProbabilisticGraph {
         self.graph
@@ -303,7 +295,6 @@ impl<'g> Session<'g> {
                 budget: 0,
                 samples: 1000,
                 exact_edge_cap: 0,
-                alpha: 0.01,
                 ds_penalty_c: 2.0,
                 include_query: false,
                 seed: self.seed,
@@ -611,7 +602,6 @@ pub struct QuerySpec {
     pub(crate) budget: usize,
     pub(crate) samples: u32,
     pub(crate) exact_edge_cap: usize,
-    pub(crate) alpha: f64,
     pub(crate) ds_penalty_c: f64,
     pub(crate) include_query: bool,
     pub(crate) seed: u64,
@@ -644,7 +634,6 @@ impl QuerySpec {
             budget,
             samples,
             exact_edge_cap,
-            alpha,
             ds_penalty_c,
             include_query,
             seed,
@@ -664,7 +653,7 @@ impl QuerySpec {
             confidence_pruning,
             delayed_sampling,
             ds_penalty_c,
-            alpha,
+            alpha: flowmax_sampling::DEFAULT_ALPHA,
             include_query,
             seed,
             threads,
@@ -711,12 +700,6 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
     /// the paper's setting).
     pub fn exact_edge_cap(mut self, cap: usize) -> Self {
         self.spec.exact_edge_cap = cap;
-        self
-    }
-
-    /// Sets the CI significance level `α` (paper: 0.01).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.spec.alpha = alpha;
         self
     }
 

@@ -89,8 +89,8 @@ impl std::str::FromStr for Algorithm {
 /// F-tree with the given estimator. Edges are inserted in connectivity
 /// order; edges never connected to `Q` contribute nothing and are skipped.
 ///
-/// Uses the `FLOWMAX_THREADS` worker count; see
-/// [`evaluate_selection_with_threads`] for an explicit override.
+/// Uses the `FLOWMAX_THREADS` worker count and `FLOWMAX_LANES` lane width;
+/// see [`evaluate_selection_with_parallelism`] for explicit overrides.
 pub fn evaluate_selection(
     graph: &ProbabilisticGraph,
     query: VertexId,
@@ -99,29 +99,6 @@ pub fn evaluate_selection(
     include_query: bool,
     seed: u64,
 ) -> f64 {
-    evaluate_selection_with_threads(
-        graph,
-        query,
-        edges,
-        estimator,
-        include_query,
-        seed,
-        flowmax_sampling::default_threads(),
-    )
-}
-
-/// [`evaluate_selection`] with an explicit sampling worker count (results
-/// are identical for every thread count; only wall-clock time changes).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_selection_with_threads(
-    graph: &ProbabilisticGraph,
-    query: VertexId,
-    edges: &[EdgeId],
-    estimator: EstimatorConfig,
-    include_query: bool,
-    seed: u64,
-    threads: usize,
-) -> f64 {
     evaluate_selection_with_parallelism(
         graph,
         query,
@@ -129,7 +106,7 @@ pub fn evaluate_selection_with_threads(
         estimator,
         include_query,
         seed,
-        threads,
+        flowmax_sampling::default_threads(),
         flowmax_sampling::default_lane_words(),
     )
 }

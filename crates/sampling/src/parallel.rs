@@ -402,11 +402,6 @@ impl ParallelEstimator {
         }
     }
 
-    /// An estimator using [`default_threads`] and [`default_lane_words`].
-    pub fn from_env() -> Self {
-        ParallelEstimator::new(default_threads())
-    }
-
     /// Overrides the lane width (64-world lane words per BFS block;
     /// supported widths 1, 4 and 8, others clamped to 1 with the one-time
     /// warning of [`clamp_lane_words`]). Results never depend on the

@@ -4,16 +4,22 @@
 //!
 //! Two engines run every selection:
 //!
-//! * **incremental** — `base + Δ(touched)` flow accounting, replay-based
-//!   commits, the versioned candidate bitmap (the default);
+//! * **incremental** — `base + Δ(touched)` flow accounting, commits by a
+//!   journalled `apply` whose touched slots mark the flow cache dirty, the
+//!   versioned candidate bitmap (the default);
 //! * **journal reference** — `.with_incremental(false)`: full-tree flow
 //!   re-aggregation and `insert_edge` commits.
 //!
 //! Both must agree **bit for bit** — same selections, same per-step flows,
 //! same per-step memoization-hit and probe counts — for the `FT`, `FT+M`
 //! and `FT+M+CI+DS` stacks at 1 and 8 sampling threads. Any divergence in
-//! the touched-set flow delta, the replay commit, or the bitmap-maintained
-//! probe pool shows up here as a first-divergence step report.
+//! the touched-set flow delta, the apply commit and its dirty marking, or
+//! the bitmap-maintained probe pool shows up here as a first-divergence
+//! step report.
+//!
+//! Debug builds also revalidate the cached flow against a whole-forest
+//! traversal after every commit; release builds do not, so CI runs this
+//! file with `--release` too.
 
 use flowmax::core::{greedy_select_observed, GreedyConfig, SelectionStep};
 use flowmax::graph::{GraphBuilder, ProbabilisticGraph, Probability, VertexId, Weight};
@@ -92,8 +98,9 @@ struct Trace {
     selected: Vec<u32>,
     /// Per-step cumulative flow, as exact bits.
     flow_bits: Vec<u64>,
-    /// Per-step §6.2 memoization hits (probe cache hits + resumed racing
-    /// streams) — the replay-commit gate must not change the hit sequence.
+    /// Per-step §6.2 memoization hits (probe cache hits, resumed racing
+    /// streams and commit-time hits) — both engines commit through the memo,
+    /// so the sequences must match.
     memo_hits: Vec<u64>,
     /// Per-step probe evaluations.
     probes: Vec<u64>,
@@ -168,7 +175,7 @@ proptest! {
 
     /// Thread invariance of the incremental engine on its own: the trace at
     /// 8 sampling threads is bit-identical to the single-threaded one
-    /// (replay commits must not perturb the racing seed streams).
+    /// (commits must not perturb the racing seed streams).
     #[test]
     fn incremental_traces_are_thread_invariant(
         (spec, budget, seed) in (graph_spec(), 1usize..7, 0u64..1_000_000)

@@ -4,11 +4,13 @@
 //! the final flow and every step's `(edge, gain bits, pool)` are pinned to
 //! the values the full re-probe engine produced.
 //!
-//! Any change to how candidates are scored or ordered must leave these
-//! unchanged. Debug asserts are off in release builds, so CI also runs
-//! this file with `--release`: it is the one check of the shipped build.
-//! At least one pinned run commits a Case IIIb or IV edge, so the
-//! structural-commit path is covered too.
+//! Any change to how candidates are scored or ordered, or to how winners
+//! are committed, must leave these unchanged. Debug asserts are off in
+//! release builds, so CI also runs this file with `--release`: with
+//! `tests/differential_incremental.rs` it is the check of the shipped
+//! build. At least one pinned run commits a Case IIIb or IV edge, so the
+//! structural commit (a journalled `apply` whose component estimate comes
+//! from the memo under `M`) is covered too.
 //!
 //! The session's evaluated flow (`SolveRun::flow`, the shared evaluator's
 //! estimate of the final selection) is pinned too, for one `FT+M+CI+DS`
