@@ -61,6 +61,14 @@ use crate::solver::{evaluate_selection_with_parallelism, Algorithm};
 /// selection's.
 pub(crate) const EVAL_SEED_TAG: u64 = 0xE7A1;
 
+/// The shared high-fidelity estimator that evaluates every final selection
+/// (and [`SolveRun::flow_at`] prefixes) uniformly across algorithms: exact
+/// enumeration up to 16 uncertain edges, 3000 samples beyond.
+const EVALUATION: EstimatorConfig = EstimatorConfig {
+    exact_edge_cap: 16,
+    samples: 3000,
+};
+
 /// Default bound of the per-graph spanning-tree cache: plenty for a few hot
 /// Dijkstra roots, small enough that a daemon serving arbitrary query
 /// vertices can never leak (each tree is O(V)).
@@ -162,9 +170,9 @@ impl Default for SessionState {
 ///
 /// The session owns everything that is per-graph rather than per-query:
 /// the worker-thread count for Monte-Carlo sampling, the master seed that
-/// queries derive their seeds from, the shared high-fidelity evaluation
-/// estimator, and a cache of Dijkstra spanning trees keyed by query
-/// vertex. Queries are configured through [`Session::query`]'s typed
+/// queries derive their seeds from, and a cache of Dijkstra spanning trees
+/// keyed by query vertex. Every final selection is evaluated by one shared
+/// high-fidelity estimator ([`Session::evaluation`]). Queries are configured through [`Session::query`]'s typed
 /// builder and executed with [`QueryBuilder::run`] /
 /// [`Session::run_many`].
 ///
@@ -176,21 +184,18 @@ pub struct Session<'g> {
     threads: usize,
     lane_words: usize,
     seed: u64,
-    evaluation: EstimatorConfig,
     state: Arc<SessionState>,
 }
 
 impl<'g> Session<'g> {
-    /// A session over `graph` with the paper's defaults: master seed 42,
-    /// the hybrid evaluation estimator, and the `FLOWMAX_THREADS` worker
-    /// count (default 1).
+    /// A session over `graph` with the paper's defaults: master seed 42
+    /// and the `FLOWMAX_THREADS` worker count (default 1).
     pub fn new(graph: &'g ProbabilisticGraph) -> Self {
         Session {
             graph,
             threads: flowmax_sampling::default_threads(),
             lane_words: flowmax_sampling::default_lane_words(),
             seed: 42,
-            evaluation: EstimatorConfig::hybrid(16, 3000),
             state: Arc::new(SessionState::new()),
         }
     }
@@ -266,9 +271,10 @@ impl<'g> Session<'g> {
         self.seed
     }
 
-    /// The shared evaluation estimator.
+    /// The shared evaluation estimator: exact enumeration up to 16
+    /// uncertain edges, 3000 samples beyond.
     pub fn evaluation(&self) -> EstimatorConfig {
-        self.evaluation
+        EVALUATION
     }
 
     /// Starts a query builder for query vertex `query`, at the paper's
@@ -532,7 +538,7 @@ impl<'g> Session<'g> {
             self.graph,
             spec.vertex,
             &outcome.selected,
-            self.evaluation,
+            EVALUATION,
             spec.include_query,
             eval_seed,
             threads,
@@ -544,7 +550,6 @@ impl<'g> Session<'g> {
         debug_assert_eq!(selected.len(), outcome.selected.len());
         SolveRun {
             graph: self.graph,
-            evaluation: self.evaluation,
             include_query: spec.include_query,
             eval_seed,
             threads,
@@ -796,7 +801,6 @@ impl<'s, 'g> QueryBuilder<'s, 'g> {
 #[derive(Debug, Clone)]
 pub struct SolveRun<'g> {
     graph: &'g ProbabilisticGraph,
-    evaluation: EstimatorConfig,
     include_query: bool,
     eval_seed: u64,
     threads: usize,
@@ -855,7 +859,7 @@ impl SolveRun<'_> {
             self.graph,
             self.query,
             &prefix,
-            self.evaluation,
+            EVALUATION,
             self.include_query,
             self.eval_seed,
             self.threads,
