@@ -1,8 +1,9 @@
 //! # flowmax-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§7), plus Criterion micro-benchmarks. See DESIGN.md §4 for
-//! the experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! evaluation (§7). [`experiments::registry`] is the experiment index; the
+//! crate README maps each id to the figure it reproduces. Performance is
+//! measured by the repository's `flowbench/` harness, not here.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -11,11 +12,7 @@ pub mod experiments;
 pub mod probe_churn;
 pub mod report;
 pub mod runner;
-pub mod serve_bench;
-pub mod wide_lanes;
 
 pub use experiments::{registry, Experiment};
 pub use report::{Cell, Report, Row};
 pub use runner::{names, roster, run_workload, RunConfig, Scale};
-pub use serve_bench::{ServeBench, ServeMeasurement};
-pub use wide_lanes::{LaneMeasurement, WideLanesBench};

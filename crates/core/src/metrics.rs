@@ -2,7 +2,7 @@
 //!
 //! The paper's claims are about *where time goes* (sampling vs analytic
 //! propagation, memo hits vs re-sampling); these counters let the experiment
-//! harness and the ablation benches report that directly.
+//! harness and the `flowbench` benchmark report that directly.
 
 /// Counters accumulated during a selection run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

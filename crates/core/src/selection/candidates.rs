@@ -403,7 +403,7 @@ impl CandidateSet {
     /// live.
     ///
     /// [`debug_validate`]: CandidateSet::debug_validate
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn debug_poison(&mut self, e: EdgeId) {
         let (w, m) = bit(e.0);
         self.bitmap[w] ^= m;
@@ -412,7 +412,7 @@ impl CandidateSet {
     /// Test-only corruption hook: moves scored leaf `e`'s cached `Δ` one
     /// ulp up, in the index and the cache alike, so only the comparison
     /// with a fresh `FTree::leaf_delta` can catch it.
-    #[cfg(test)]
+    #[cfg(all(test, debug_assertions))]
     pub(crate) fn debug_poison_delta(&mut self, e: EdgeId) {
         let old = self.delta[&e];
         assert!(self.leaves.remove(&LeafKey {

@@ -15,7 +15,6 @@ use flowmax_graph::{EdgeId, ProbabilisticGraph, VertexId};
 use crate::batch::WorldBatch;
 use crate::coin::scalar_coin;
 use crate::confidence::{wald_interval, ConfidenceInterval};
-use crate::parallel::ParallelEstimator;
 use crate::rng::{splitmix64, FlowRng, SeedSequence};
 
 /// Reusable global-vertex → local-id scratch map for
@@ -287,27 +286,6 @@ impl ComponentGraph {
         }
     }
 
-    /// Bit-parallel, optionally multi-threaded variant of
-    /// [`ComponentGraph::sample_reachability`]: worlds are drawn in batches
-    /// of [`LANES`](crate::batch::LANES), each batch resolved by one lane
-    /// BFS, batches sharded over `threads` workers.
-    ///
-    /// World `i` draws its coins from `seq.rng(i)`, so the result is a pure
-    /// function of `(seq, samples)` — bit-identical for every thread count.
-    ///
-    /// This convenience form builds a [`ParallelEstimator`] per call, which
-    /// is free: execution runs on the persistent process-global worker pool
-    /// against each thread's warm scratch either way. Hot callers may still
-    /// prefer [`ParallelEstimator::sample_component`] directly.
-    pub fn sample_reachability_batched(
-        &self,
-        samples: u32,
-        seq: &SeedSequence,
-        threads: usize,
-    ) -> ComponentEstimate {
-        ParallelEstimator::new(threads).sample_component(self, samples, seq)
-    }
-
     /// Exact `Pr[v ↔ AV]` by enumerating the `2^u` worlds over the `u`
     /// uncertain edges. Returns `None` when `u > cap`.
     pub fn exact_reachability(&self, cap: usize) -> Option<ComponentEstimate> {
@@ -439,6 +417,7 @@ impl ComponentEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::ParallelEstimator;
     use crate::rng::SeedSequence;
     use flowmax_graph::{GraphBuilder, Probability, Weight};
 
@@ -547,7 +526,7 @@ mod tests {
         let c = ComponentGraph::build(&g, VertexId(0), &es);
         let exact = c.exact_reachability(20).unwrap();
         let seq = SeedSequence::new(29);
-        let est = c.sample_reachability_batched(20_000, &seq, 4);
+        let est = ParallelEstimator::new(4).sample_component(&c, 20_000, &seq);
         assert!(!est.is_exact());
         assert_eq!(est.samples(), 20_000);
         assert_eq!(est.reach(0), 1.0);
@@ -567,9 +546,9 @@ mod tests {
         let c = ComponentGraph::build(&g, VertexId(1), &es);
         let seq = SeedSequence::new(71);
         for samples in [1, 64, 100, 1000] {
-            let base = c.sample_reachability_batched(samples, &seq, 1);
+            let base = ParallelEstimator::new(1).sample_component(&c, samples, &seq);
             for threads in [2, 8] {
-                let est = c.sample_reachability_batched(samples, &seq, threads);
+                let est = ParallelEstimator::new(threads).sample_component(&c, samples, &seq);
                 assert_eq!(base, est, "samples={samples} threads={threads}");
             }
         }

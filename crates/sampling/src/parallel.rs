@@ -333,8 +333,8 @@ where
 
 /// Per-vertex success counts over `job.samples` worlds: the reachability
 /// specialization of [`map_batches`], shared by the graph-level
-/// [`ParallelEstimator`] and the component-local
-/// [`crate::component::ComponentGraph::sample_reachability_batched`].
+/// ([`ParallelEstimator::sample_reachability`]) and component-local
+/// ([`ParallelEstimator::sample_component`]) estimators.
 pub(crate) fn batched_success_counts<const W: usize, F, N, I>(
     job: BatchJob,
     fill: F,

@@ -349,7 +349,7 @@ impl CandidateRace {
 ///
 /// Worlds are appended in whole 64-world batches; after extending to `S`
 /// samples the estimate is bit-identical to a fresh
-/// [`ComponentGraph::sample_reachability_batched`] run at `S` samples with
+/// [`ParallelEstimator::sample_component`] run at `S` samples with
 /// the same seed sequence (world `i` always draws from `seq.rng(i)`).
 #[derive(Debug, Clone)]
 pub struct IncrementalComponent {
@@ -605,7 +605,7 @@ mod tests {
         assert_eq!(engine.extend_components(&mut lanes, &[64]), 64);
         assert_eq!(engine.extend_components(&mut lanes, &[64]), 0, "no-op");
         assert_eq!(engine.extend_components(&mut lanes, &[192]), 128);
-        let fresh = triangle().sample_reachability_batched(192, &seq, 1);
+        let fresh = engine.sample_component(&triangle(), 192, &seq);
         assert_eq!(lanes[0].estimate(), fresh, "extension ≡ fresh run");
         assert_eq!(lanes[0].drawn(), 192);
     }
@@ -627,14 +627,9 @@ mod tests {
         assert_eq!(base, run(4));
         assert_eq!(base, run(8));
         // Each lane equals its solo full-budget run.
-        assert_eq!(
-            base[0],
-            triangle().sample_reachability_batched(256, &seqs[0], 1)
-        );
-        assert_eq!(
-            base[1],
-            triangle().sample_reachability_batched(320, &seqs[1], 1)
-        );
+        let solo = ParallelEstimator::new(1);
+        assert_eq!(base[0], solo.sample_component(&triangle(), 256, &seqs[0]));
+        assert_eq!(base[1], solo.sample_component(&triangle(), 320, &seqs[1]));
     }
 
     /// Satellite: empirical coverage of the elimination rule. Candidates
